@@ -27,14 +27,40 @@
 //!   equal times provisional events pop after all pre-window events —
 //!   exactly where the serial engine's higher sequence numbers would
 //!   have put them.
-//! * Every dispatch is logged as `(time, key, n_sched)`. At the
-//!   barrier the coordinator **replays** the per-shard logs in global
+//! * Every dispatch is logged as `(time, key, n_sched)`. After the
+//!   barrier every worker **replays** the posted logs in global
 //!   `(time, true-key)` order — a deterministic merge that depends
 //!   only on the logs, never on thread timing — assigning each
 //!   provisional event the true sequence number the serial engine
-//!   would have used, and stepping the audit cadence event-exactly.
+//!   would have used; the lead worker also steps the audit cadence
+//!   event-exactly.
 //! * Each shard then relabels its window-local events with the agreed
-//!   keys and installs cross-shard arrivals before the next window.
+//!   keys and installs the events other shards sent it before its next
+//!   window.
+//!
+//! # The per-window protocol
+//!
+//! `w = min(n, cores)` worker threads each own a block of shards; the
+//! calling thread is worker 0, the *lead*. A round is:
+//!
+//! 1. **Replay** (every worker, in parallel): merge the previous
+//!    window's posted logs. Every worker computes the same maps from
+//!    provisional index to true key, and the same `gmin` from the
+//!    shards' posted pending minima — so the same next window end,
+//!    with no coordinator and no second barrier.
+//! 2. **Prologue** (per shard): relabel the shard's `later` events and
+//!    install the events posted for it, keyed through the replay.
+//! 3. **Window** (per shard): dispatch every event up to the window
+//!    end, then **post** the log, the per-target outboxes and the
+//!    pending minimum — buffer swaps into `posts[s][k % 2]`.
+//! 4. One barrier.
+//!
+//! Posts alternate by window parity, so a window writes one slot while
+//! every worker still reads the other, and one barrier per window
+//! suffices. On the windy-forest cell (648 nodes, 2 shards on a 2-vCPU
+//! Xeon VM, 431,591 windows of ~43 events) a worker spends roughly 60 %
+//! of its time in windows, 15 % replaying, 8 % in prologues and the
+//! rest waiting at the barrier for the other shard's heavier windows.
 //!
 //! At [`Network::run_until`]'s end the shards merge back into the
 //! master: devices swap home, per-shard packet arenas drain into the
@@ -58,18 +84,21 @@
 //!   order — the exact order the serial loop would have captured them
 //!   in — and synthesizes the serial loop's per-audit-pass flight note
 //!   at each cadence crossing.
+//!   Shards post their captured records with the window; the lead
+//!   worker's replay does the copying.
 //! * **Telemetry samples** read barrier-consistent global state. The
 //!   serial loop samples a boundary `b` lazily, when the first batch
-//!   with time `> b` pops: the coordinator reproduces that by capping
-//!   every window at the next unconsumed boundary and sampling due
-//!   boundaries between windows through a [`FabricView`] assembled
-//!   across the shard guards (same counters: `events + 1` and
-//!   `depth − 1` mid-run for the already-extracted head event, plain
-//!   totals at the final flush).
+//!   with time `> b` pops: the lead reproduces that by capping every
+//!   window at the next unconsumed boundary and sampling due
+//!   boundaries between the prologues and the windows, while the other
+//!   workers wait, through a [`FabricView`] assembled across the shard
+//!   guards (same counters: `events + 1` and `depth − 1` mid-run for
+//!   the already-extracted head event, plain totals at the final
+//!   flush). Only telemetry adds those two extra barriers per round.
 //! * **Profiler bins** are pure sums: each shard records into its own
 //!   [`EngineProfiler`] and the bins fold into the master's at the
-//!   merge, with coordination itself attributed to
-//!   [`Subsystem::Barrier`].
+//!   merge; the lead attributes each round's replay and hand-off time
+//!   to [`Subsystem::Barrier`], one call per round.
 //!
 //! # What falls back to the serial loop
 //!
@@ -83,15 +112,15 @@ use crate::network::{Dev, Event, Network};
 use crate::profile::{EngineProfiler, Subsystem};
 use crate::state::EventState;
 use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
-use crate::trace::Tracer;
+use crate::trace::{TraceRecord, Tracer};
 use crate::NetAudit;
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
 use ibsim_faults::{FaultAction, FaultStats};
 use ibsim_topo::{partition_leaf_groups, Topology};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 /// Provisional keys start here: above every true sequence number a
 /// simulation can reach, so at equal times window-local events sort
@@ -116,9 +145,9 @@ impl OwnerMap {
     pub(crate) fn owner_of(&self, ev: &Event) -> u32 {
         match *ev {
             Event::SwArrive { ch, .. } | Event::HcaArrive { ch, .. } => self.ch[ch as usize],
-            Event::SwTxDone { sw, .. } | Event::SwTryArb { sw, .. } | Event::SwCredit { sw, .. } => {
-                self.sw[sw as usize]
-            }
+            Event::SwTxDone { sw, .. }
+            | Event::SwTryArb { sw, .. }
+            | Event::SwCredit { sw, .. } => self.sw[sw as usize],
             Event::HcaTxDone { hca }
             | Event::HcaTrySend { hca }
             | Event::HcaCredit { hca, .. }
@@ -138,14 +167,14 @@ impl OwnerMap {
 /// any, leaves the sender's arena and re-allocates in the receiver's).
 pub(crate) struct OutMsg {
     pub at: Time,
-    /// The provisional index the sender allocated; the coordinator
-    /// resolves it to the true sequence number before delivery.
+    /// The provisional index the sender allocated; the receiver
+    /// resolves it through its own replay of the sender's log when it
+    /// installs the event.
     pub prov: u64,
-    pub target: u32,
     pub ev: EventState,
 }
 
-/// One dispatched event, as the coordinator's replay sees it.
+/// One dispatched event, as the replay sees it.
 #[derive(Clone, Copy)]
 pub(crate) struct DispatchRec {
     pub at: Time,
@@ -186,8 +215,8 @@ impl ObsBuf {
 }
 
 /// The master's instruments, taken out of the network for the duration
-/// of a sharded drive: the coordinator samples and merges into them at
-/// every window barrier, while holding all shard locks.
+/// of a sharded drive: the lead worker's replay merges the shards'
+/// records into them, and it samples telemetry between rounds.
 pub(crate) struct MasterObs<'a> {
     pub tel: Option<&'a mut NetTelemetry>,
     pub trc: Option<&'a mut Tracer>,
@@ -210,39 +239,120 @@ pub(crate) struct ShardRoute {
     /// and drain, and it is most of the event traffic (anything a link
     /// latency or more out lands past the window by construction).
     pub later: Vec<(Time, u64, Event)>,
+    /// Earliest time among the events this shard holds outside its
+    /// queues — `later` plus every outbox — tracked at push time so
+    /// nothing ever scans them. `Time::MAX` when none.
+    pub held_min: Time,
     /// End of the window currently running, the `win`/`later` boundary.
     pub w_end: Time,
     /// Next provisional index (reset every window).
     pub prov: u64,
-    pub outbox: Vec<OutMsg>,
+    /// Per target shard: the events this window sent there.
+    pub outbox: Vec<Vec<OutMsg>>,
     pub log: Vec<DispatchRec>,
-    /// Provisional index → true sequence number, written by the
-    /// coordinator's replay of this window's logs.
-    pub map: Vec<u64>,
-    /// Cross-shard arrivals under their true keys, installed at the
-    /// next window prologue.
-    pub inbox: Vec<(Time, u64, EventState)>,
 }
 
 impl ShardRoute {
+    fn new(my: u32, owners: OwnerMap, n: usize) -> Self {
+        ShardRoute {
+            my,
+            owners,
+            win: EventQueue::with_capacity(256),
+            later: Vec::new(),
+            held_min: Time::MAX,
+            w_end: Time(0),
+            prov: 0,
+            outbox: (0..n).map(|_| Vec::new()).collect(),
+            log: Vec::new(),
+        }
+    }
+
     #[inline]
     pub(crate) fn owner_of(&self, ev: &Event) -> u32 {
         self.owners.owner_of(ev)
     }
 }
 
+/// What one shard's window leaves for every worker to read at the
+/// barrier: its dispatch log, the events it sent each other shard, and
+/// its captured observation records. Double-buffered by window parity
+/// (see [`ShardExec::posts`]), so writers and readers never meet.
+#[derive(Default)]
+struct Post {
+    log: Vec<DispatchRec>,
+    /// Provisional indices the window allocated (the sum of the log's
+    /// `n_sched`).
+    n_prov: u64,
+    /// Per target shard: the events sent there.
+    out: Vec<Vec<OutMsg>>,
+    /// The earliest event the shard holds or sent after the window:
+    /// its term in `gmin`, computed where the data is local.
+    next_min: Option<Time>,
+    /// Trace records and flight notes captured in the window, in the
+    /// order [`DispatchRec::n_trace`]/[`DispatchRec::n_flight`] count
+    /// them; empty unless the master observes.
+    trace: Vec<TraceRecord>,
+    flight: Vec<(Time, FlightKind, String, String)>,
+}
+
 /// The sharded-executor state on the *master* network.
 pub(crate) struct ShardExec {
-    pub n: usize,
-    /// One worker network per shard. Uncontended: workers and the
-    /// coordinator alternate via the window barrier; the mutex is the
-    /// `Sync` fence that hands each network across threads.
-    pub nets: Vec<Mutex<Network>>,
-    pub owners: OwnerMap,
+    n: usize,
+    /// One network per shard. Uncontended: only the owning worker
+    /// locks it, except while the lead samples telemetry and the others
+    /// wait at the barrier; the mutex is the `Sync` fence that hands
+    /// each network across threads.
+    nets: Vec<Padded<Mutex<Network>>>,
+    owners: OwnerMap,
     /// Minimum latency of any cross-shard channel, in picoseconds.
     /// Strictly positive — zero-latency cuts are rejected at
     /// [`Network::set_shards`].
-    pub lookahead_ps: u64,
+    lookahead_ps: u64,
+    /// Threads that run the windows, `1..=n`; each runs a contiguous
+    /// block of shards in turn.
+    workers: usize,
+    /// Per shard, two posts alternating by window parity: window `k`
+    /// publishes into `posts[s][k % 2]` while every worker still reads
+    /// window `k − 1`'s from the other slot — one barrier per window
+    /// keeps the two phases apart.
+    posts: Vec<[Padded<RwLock<Post>>; 2]>,
+}
+
+/// Keeps neighbours in a `Vec` shared between threads off each other's
+/// cache lines: one shard's hot fields next to another's lock word
+/// would bounce that line between cores on every access.
+#[repr(align(128))]
+#[derive(Default)]
+struct Padded<T>(T);
+
+impl<T> std::ops::Deref for Padded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Padded<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// How many worker threads run `n` shards on `cores` hardware threads:
+/// one per shard, never more than the cores (a worker runs several
+/// shards' windows in turn), at least one.
+pub(crate) fn workers_for(n: usize, cores: usize) -> usize {
+    n.min(cores).max(1)
+}
+
+/// Head key of an exhausted log. Sorts after every real key: true
+/// sequence numbers stay below [`PROV_BASE`].
+const DONE: u128 = u128::MAX;
+
+/// A `(time, key)` pair as one integer with the same order.
+#[inline]
+fn pack(at: Time, key: u64) -> u128 {
+    (u128::from(at.as_ps()) << 64) | u128::from(key)
 }
 
 /// Replay bookkeeping threaded from split through the windows to the
@@ -276,20 +386,46 @@ struct Flow {
     sanction0: u64,
 }
 
-/// A sense-reversing spin barrier: windows are short (one lookahead of
-/// simulated time), so parking on a futex every round would dominate.
-struct SpinBarrier {
+/// A sense-reversing barrier that spins, then parks. Windows are short
+/// (one lookahead of simulated time), so with a core per worker a wait
+/// is a few microseconds and parking every round would dominate. A
+/// worker whose partner lost its core (more runnable threads than
+/// cores, e.g. sharded cells under `parallel_map`) would spin away the
+/// very time slice the partner needs, so after `spin_limit` polls it
+/// sleeps on a condition variable until the last arrival wakes it. The
+/// limit adapts between [`MIN_SPINS`] and [`MAX_SPINS`]: every park
+/// halves it, every wait that ends while spinning doubles it — long
+/// spins on spare cores, short ones when the cores are oversubscribed.
+/// A thread that panics aborts the barrier (see [`AbortOnUnwind`]), and
+/// every thread waiting on it panics in turn instead of waiting on
+/// forever.
+struct WindowBarrier {
     n: usize,
     count: AtomicUsize,
     generation: AtomicU64,
+    aborted: AtomicBool,
+    /// Waiters parked (or about to park) on `wake`.
+    sleepers: AtomicUsize,
+    spin_limit: AtomicU32,
+    lock: Mutex<()>,
+    wake: Condvar,
 }
 
-impl SpinBarrier {
+/// Bounds of the adaptive spin limit, in polls.
+const MAX_SPINS: u32 = 10_000;
+const MIN_SPINS: u32 = 1_000;
+
+impl WindowBarrier {
     fn new(n: usize) -> Self {
-        SpinBarrier {
+        WindowBarrier {
             n,
             count: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
+            aborted: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            spin_limit: AtomicU32::new(MAX_SPINS),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
         }
     }
 
@@ -297,18 +433,47 @@ impl SpinBarrier {
         let gen = self.generation.load(Ordering::Acquire);
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
             self.count.store(0, Ordering::Relaxed);
-            self.generation.store(gen + 1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                spins += 1;
-                if spins < 10_000 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+            // SeqCst pairs with the sleeper's: either it sees the new
+            // generation, or this sees it counted and wakes it.
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                self.wake_all();
             }
+            return;
         }
+        let released = || self.generation.load(Ordering::Acquire) != gen;
+        let check = || {
+            assert!(
+                !self.aborted.load(Ordering::Relaxed),
+                "another shard worker panicked"
+            );
+        };
+        let limit = self.spin_limit.load(Ordering::Relaxed);
+        for _ in 0..limit {
+            if released() {
+                let grown = (limit * 2).min(MAX_SPINS);
+                self.spin_limit.store(grown, Ordering::Relaxed);
+                return;
+            }
+            check();
+            std::hint::spin_loop();
+        }
+        self.spin_limit
+            .store((limit / 2).max(MIN_SPINS), Ordering::Relaxed);
+        let mut guard = self.lock.lock().expect("barrier lock");
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == gen && !self.aborted.load(Ordering::SeqCst)
+        {
+            guard = self.wake.wait(guard).expect("barrier lock");
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+        check();
+    }
+
+    fn wake_all(&self) {
+        let _guard = self.lock.lock().expect("barrier lock");
+        self.wake.notify_all();
     }
 }
 
@@ -394,25 +559,17 @@ impl Network {
             // Shards never prime: the master's queue is authoritative,
             // and its entries arrive at the split.
             sh.primed = true;
-            sh.shard_route = Some(Box::new(ShardRoute {
-                my: s as u32,
-                owners: owners.clone(),
-                win: EventQueue::with_capacity(256),
-                later: Vec::new(),
-                w_end: Time(0),
-                prov: 0,
-                outbox: Vec::new(),
-                log: Vec::new(),
-                map: Vec::new(),
-                inbox: Vec::new(),
-            }));
-            nets.push(Mutex::new(sh));
+            sh.shard_route = Some(Box::new(ShardRoute::new(s as u32, owners.clone(), part.n)));
+            nets.push(Padded(Mutex::new(sh)));
         }
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         self.shards = Some(Box::new(ShardExec {
             n: part.n,
             nets,
             owners,
             lookahead_ps,
+            workers: workers_for(part.n, cores),
+            posts: (0..part.n).map(|_| Default::default()).collect(),
         }));
     }
 
@@ -433,8 +590,8 @@ impl Network {
         let mut ex = self.shards.take().expect("gated on shards.is_some()");
         let mut flow = self.split(&mut ex);
         // The master's instruments leave the network for the drive: the
-        // coordinator samples and merges into them at every barrier
-        // while holding all shard locks. Telemetry and tracer stay out
+        // lead worker merges into them and samples between rounds.
+        // Telemetry and tracer stay out
         // until after the merge — its final audit pass must not record
         // a flight note the serial loop never produced (the serial
         // cadence notes were already synthesized during replay).
@@ -448,6 +605,9 @@ impl Network {
                 prof: prof.as_deref_mut(),
             };
             drive(&mut ex, t, &mut flow, &mut obs);
+        }
+        if let Some(tel) = tel.as_deref_mut() {
+            final_sample(&ex, t, &flow, tel);
         }
         // Profiler first: the merge folds the shard bins into it.
         self.prof = prof;
@@ -515,15 +675,29 @@ impl Network {
                 last_pop: None,
                 entries: installed,
             });
+            // The previous drive's last prologue left the route empty;
+            // only the window queue's clock rewinds (a restore may have
+            // moved the master back).
             let r = sh.shard_route.as_mut().expect("shards carry a route");
+            debug_assert!(r.win.is_empty() && r.later.is_empty() && r.log.is_empty());
             r.win.reset();
-            r.later.clear();
-            r.w_end = Time(0);
-            r.prov = 0;
-            r.outbox.clear();
-            r.log.clear();
-            r.map.clear();
-            r.inbox.clear();
+            // The drive starts by replaying "window −1", parity 1: an
+            // empty log whose only content is the split's pending
+            // minimum.
+            for (parity, post) in ex.posts[s].iter_mut().enumerate() {
+                let post = post.get_mut().expect("no poisoned post");
+                post.log.clear();
+                post.n_prov = 0;
+                post.out.resize_with(ex.n, Vec::new);
+                post.out.iter_mut().for_each(Vec::clear);
+                post.next_min = if parity == 1 {
+                    sh.queue.peek_time()
+                } else {
+                    None
+                };
+                post.trace.clear();
+                post.flight.clear();
+            }
         }
         assert_eq!(
             self.pool.live(),
@@ -531,10 +705,7 @@ impl Network {
             "split left {} live packet(s) behind in the master arena",
             self.pool.live()
         );
-        let (next_at, checks0) = self
-            .audit
-            .as_ref()
-            .map_or((u64::MAX, 0), |a| a.position());
+        let (next_at, checks0) = self.audit.as_ref().map_or((u64::MAX, 0), |a| a.position());
         Flow {
             gseq: snap.seq,
             processed: snap.processed,
@@ -551,7 +722,8 @@ impl Network {
         }
     }
 
-    /// Undo the split after the windows have run: final prologues,
+    /// Undo the split after the windows have run (the last round's
+    /// prologues already folded every event into the shard queues):
     /// devices home, shard arenas drained (conservation asserted),
     /// queues concatenated under true keys, fault deltas and audit
     /// ledgers summed, and the audit cadence patched to the position
@@ -561,10 +733,6 @@ impl Network {
         let mut merged_stats = flow.split_stats;
         for s in 0..ex.n {
             let sh = ex.nets[s].get_mut().expect("no poisoned shard");
-            // The last replay resolved this window's keys; fold the
-            // still-provisional events and the late inbox into the
-            // shard's main queue before collecting it.
-            sh.window_prologue();
             for (i, &o) in ex.owners.sw.iter().enumerate() {
                 if o == s as u32 {
                     std::mem::swap(&mut self.switches[i], &mut sh.switches[i]);
@@ -609,8 +777,8 @@ impl Network {
                     .expect("shard audits exist iff the master's does")
                     .absorb(&a);
             }
-            // The last replay drained the shard-side capture buffers;
-            // drop them and fold the shard's profiler bins in (pure
+            // The last windows posted the shard-side capture buffers and
+            // the last replay consumed them; drop them and fold the shard's profiler bins in (pure
             // sums, so addition order does not matter).
             debug_assert!(sh.tracer.as_ref().is_none_or(|t| t.records().is_empty()));
             debug_assert!(sh.obs_buf.as_ref().is_none_or(|b| b.flight.is_empty()));
@@ -653,75 +821,64 @@ impl Network {
         }
     }
 
-    /// Start-of-window bookkeeping on one shard: relabel the previous
-    /// window's provisional events with their replay-agreed true keys,
-    /// install cross-shard arrivals, and reset the window counters.
-    pub(crate) fn window_prologue(&mut self) {
-        let mut r = self.shard_route.take().expect("prologue runs on shards");
-        if !r.win.is_empty() {
-            let snap = r.win.snapshot();
-            for (at, key, ev) in snap.entries {
-                let true_seq = r.map[(key - PROV_BASE) as usize];
-                self.queue.schedule_keyed(at, true_seq, ev);
-            }
-            r.win.reset();
-        }
+    /// Start-of-window bookkeeping on one shard, run by its worker in
+    /// parallel with every other shard's: relabel the previous window's
+    /// provisional events with their replay-agreed true keys, and
+    /// install the events other shards sent here, resolving their keys
+    /// through the same replay (`maps[src]` is shard `src`'s map).
+    fn window_prologue(&mut self, maps: &[Vec<u64>], posts: &[RwLockReadGuard<'_, Post>]) {
+        let r = self
+            .shard_route
+            .as_deref_mut()
+            .expect("prologue runs on shards");
+        debug_assert!(r.win.is_empty(), "windows drain their window queue");
+        let my = r.my as usize;
         for (at, prov, ev) in r.later.drain(..) {
-            self.queue.schedule_keyed(at, r.map[prov as usize], ev);
+            self.queue.schedule_keyed(at, maps[my][prov as usize], ev);
         }
-        for (at, seq, es) in r.inbox.drain(..) {
-            let ev = es.install(&mut self.pool);
-            self.queue.schedule_keyed(at, seq, ev);
+        for (src, post) in posts.iter().enumerate() {
+            for m in &post.out[my] {
+                let ev = m.ev.install(&mut self.pool);
+                self.queue
+                    .schedule_keyed(m.at, maps[src][m.prov as usize], ev);
+            }
         }
-        r.map.clear();
-        r.log.clear();
         r.prov = 0;
-        debug_assert!(r.outbox.is_empty(), "coordinator must drain the outbox");
-        self.shard_route = Some(r);
+        r.held_min = Time::MAX;
     }
 
     /// Dispatch every event on this shard with time ≤ `w_end`,
     /// interleaving the main queue (true keys) and the window queue
     /// (provisional keys) exactly as the serial engine would order
-    /// them, and logging each dispatch for the coordinator's replay.
+    /// them, and logging each dispatch for the replay.
     pub(crate) fn run_window(&mut self, w_end: Time, batch: &mut Vec<(u64, Event)>) {
         self.shard_route
             .as_mut()
             .expect("windows run on shards")
             .w_end = w_end;
         loop {
-            let tm = self.queue.peek_time();
-            let tw = self
-                .shard_route
-                .as_ref()
-                .expect("windows run on shards")
-                .win
-                .peek_time();
-            let t = match (tm, tw) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
+            // One main-queue peek per batch: pop it up to the window
+            // queue's head (which `sched` keeps within the window), then
+            // take the window queue's batch if it is due at the same
+            // time or the main queue had nothing that early. True keys
+            // are all < PROV_BASE, so the concatenation of the two
+            // per-queue batches is already in key order — pre-window
+            // events first, window-local events after, just as serial
+            // seq assignment orders them.
+            batch.clear();
+            let p0 = self.prof.as_ref().map(|_| std::time::Instant::now());
+            let r = self.shard_route.as_mut().expect("windows run on shards");
+            let tw = r.win.peek_time();
+            debug_assert!(tw.is_none_or(|tw| tw <= w_end));
+            let t = match (self.queue.pop_batch_until(tw.unwrap_or(w_end), batch), tw) {
+                (Some(tm), None) => tm,
+                (Some(tm), Some(tw)) if tm < tw => tm,
+                (_, Some(tw)) => {
+                    r.win.pop_batch_until(tw, batch);
+                    tw
+                }
                 (None, None) => break,
             };
-            if t > w_end {
-                break;
-            }
-            batch.clear();
-            // True keys are all < PROV_BASE, so the concatenation of
-            // the two per-queue batches is already in key order —
-            // pre-window events first, window-local events after, just
-            // as serial seq assignment orders them.
-            let p0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-            if tm == Some(t) {
-                self.queue.pop_batch_until(t, batch);
-            }
-            if tw == Some(t) {
-                self.shard_route
-                    .as_mut()
-                    .expect("checked above")
-                    .win
-                    .pop_batch_until(t, batch);
-            }
             if let Some(t0) = p0 {
                 let ns = t0.elapsed().as_nanos() as u64;
                 if let Some(p) = self.prof.as_deref_mut() {
@@ -736,11 +893,15 @@ impl Network {
             }
             for &(key, ev) in batch.iter() {
                 let before = self.shard_route.as_ref().expect("shard").prov;
-                let tr0 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
-                let fl0 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
+                let captured = |net: &Network| {
+                    (
+                        net.tracer.as_ref().map_or(0, |tr| tr.records().len()),
+                        net.obs_buf.as_ref().map_or(0, |b| b.flight.len()),
+                    )
+                };
+                let (tr0, fl0) = captured(self);
                 self.dispatch_timed(t, ev);
-                let tr1 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
-                let fl1 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
+                let (tr1, fl1) = captured(self);
                 let r = self.shard_route.as_mut().expect("shard");
                 r.log.push(DispatchRec {
                     at: t,
@@ -750,6 +911,36 @@ impl Network {
                     n_flight: (fl1 - fl0) as u16,
                 });
             }
+        }
+    }
+
+    /// End of a window: move its log, outboxes and captured observation
+    /// records into `post` — buffer swaps, the emptied buffers come back
+    /// for the next window — with the shard's pending minimum.
+    fn publish(&mut self, post: &mut Post) {
+        let r = self
+            .shard_route
+            .as_deref_mut()
+            .expect("windows run on shards");
+        post.log.clear();
+        std::mem::swap(&mut post.log, &mut r.log);
+        post.n_prov = r.prov;
+        for (out, sent) in post.out.iter_mut().zip(&mut r.outbox) {
+            out.clear();
+            std::mem::swap(out, sent);
+        }
+        let held = (r.held_min != Time::MAX).then_some(r.held_min);
+        post.next_min = match (self.queue.peek_time(), held) {
+            (Some(q), Some(h)) => Some(q.min(h)),
+            (q, h) => q.or(h),
+        };
+        post.trace = self
+            .tracer
+            .as_mut()
+            .map_or_else(Vec::new, Tracer::drain_records);
+        post.flight.clear();
+        if let Some(b) = self.obs_buf.as_deref_mut() {
+            std::mem::swap(&mut post.flight, &mut b.flight);
         }
     }
 }
@@ -769,330 +960,391 @@ fn add_stats_delta(merged: &mut FaultStats, shard: &FaultStats, base: &FaultStat
     merged.resumes += shard.resumes - base.resumes;
 }
 
-/// Run windows to `t` across all shards: workers on their own threads,
-/// the coordinator (who also runs shard 0) replaying logs, routing
-/// outboxes and choosing each window's end between rounds. One
-/// sense-reversing barrier, crossed twice per window, alternates the
-/// two phases; the replay depends only on the per-shard logs, so the
-/// outcome is independent of thread scheduling.
-fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
-    let n = ex.n;
-    let lookahead_ps = ex.lookahead_ps;
-    let owners = ex.owners.clone();
-    // On a single hardware thread, n spinning workers just timeshare
-    // one core; run the identical window/replay cycle inline instead.
-    // Same prologue, same run_window, same coordinate — the driver loop
-    // is the only difference, so both paths are byte-identical by
-    // construction (and the equivalence suite exercises whichever one
-    // the host selects).
-    let single = std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
-    if single {
-        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
-        let mut cursors = vec![0usize; n];
-        while let Some(w_end) =
-            coordinate_timed(&ex.nets, &mut cursors, &owners, lookahead_ps, t, flow, obs)
-        {
-            for net in &ex.nets {
-                let mut net = net.lock().expect("no poisoned shard");
-                net.window_prologue();
-                net.run_window(w_end, &mut batch);
-            }
+/// Aborts the barrier if its thread unwinds, so a panic in one worker
+/// surfaces in all of them rather than hanging.
+struct AbortOnUnwind<'a>(&'a WindowBarrier);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.aborted.store(true, Ordering::SeqCst);
+            self.0.wake_all();
         }
-        return;
     }
-    let stop = AtomicBool::new(false);
-    let w_end_ps = AtomicU64::new(0);
-    let barrier = SpinBarrier::new(n);
-    let nets = &ex.nets;
+}
+
+/// Run windows to `t` across all shards on `ex.workers` threads, the
+/// calling thread being worker 0. Worker `j` owns a contiguous block of
+/// shards. Every round, each worker replays the previous window's
+/// posted logs itself — a merge that depends only on the logs, so every
+/// worker reaches the same true keys and the same next window end —
+/// runs its shards' prologues, then their windows, and posts the
+/// results; one barrier per window separates posting from reading.
+/// Nothing runs serially between windows. The outcome is independent
+/// of the worker count and of thread scheduling; with one worker no
+/// thread is spawned and the barrier is a no-op.
+fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
+    let (n, w) = (ex.n, ex.workers);
+    let round = Round {
+        nets: &ex.nets,
+        posts: &ex.posts,
+        owners: &ex.owners,
+        lookahead_ps: ex.lookahead_ps,
+        t,
+        barrier: WindowBarrier::new(w),
+        sampled: obs.tel.is_some(),
+        w_end_ps: AtomicU64::new(0),
+    };
+    let gseq = flow.gseq;
     std::thread::scope(|scope| {
-        for worker_net in nets.iter().skip(1) {
-            let (barrier, stop, w_end_ps) = (&barrier, &stop, &w_end_ps);
-            scope.spawn(move || {
-                let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
-                loop {
-                    barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let w_end = Time(w_end_ps.load(Ordering::Acquire));
-                    let mut net = worker_net.lock().expect("no poisoned shard");
-                    net.window_prologue();
-                    net.run_window(w_end, &mut batch);
-                    drop(net);
-                    barrier.wait();
-                }
-            });
+        for j in 1..w {
+            let round = &round;
+            scope.spawn(move || round.work(j * n / w..(j + 1) * n / w, gseq, None));
         }
-        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
-        let mut cursors = vec![0usize; n];
-        loop {
-            // Coordination phase: every worker is parked at the round
-            // barrier, so the locks are free.
-            let next = coordinate_timed(nets, &mut cursors, &owners, lookahead_ps, t, flow, obs);
-            match next {
-                Some(w_end) => {
-                    w_end_ps.store(w_end.as_ps(), Ordering::Release);
-                    barrier.wait();
-                    {
-                        let mut net = nets[0].lock().expect("no poisoned shard");
-                        net.window_prologue();
-                        net.run_window(w_end, &mut batch);
-                    }
-                    barrier.wait();
-                }
-                None => {
-                    stop.store(true, Ordering::Release);
-                    barrier.wait();
-                    break;
-                }
-            }
-        }
+        round.work(0..n / w, gseq, Some((flow, obs)));
     });
 }
 
-/// [`coordinate`], attributed to [`Subsystem::Barrier`] when profiling
-/// (the coordinator's own work is the sharded executor's overhead).
-#[allow(clippy::too_many_arguments)]
-fn coordinate_timed(
-    nets: &[Mutex<Network>],
-    cursors: &mut [usize],
-    owners: &OwnerMap,
+/// What every worker shares for one drive.
+struct Round<'a> {
+    nets: &'a [Padded<Mutex<Network>>],
+    posts: &'a [[Padded<RwLock<Post>>; 2]],
+    owners: &'a OwnerMap,
     lookahead_ps: u64,
     t: Time,
-    flow: &mut Flow,
-    obs: &mut MasterObs<'_>,
-) -> Option<Time> {
-    let t0 = obs.prof.as_ref().map(|_| std::time::Instant::now());
-    let next = coordinate(nets, cursors, owners, lookahead_ps, t, flow, obs);
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = obs.prof.as_mut() {
-            p.record(Subsystem::Barrier, ns);
-        }
-    }
-    next
+    barrier: WindowBarrier,
+    /// Telemetry is on: the lead worker samples between the prologues
+    /// and the windows while the others wait, and picks the window end.
+    sampled: bool,
+    w_end_ps: AtomicU64,
 }
 
-/// One coordination step: replay the previous window's logs into true
-/// sequence numbers (stepping the audit cadence event-exactly and
-/// merging shard-captured trace/flight records into the master streams
-/// in replayed order), route the outboxes, sample any due telemetry
-/// boundaries against the barrier-consistent global state, and pick
-/// the next window end — or `None` when nothing at or before `t`
-/// remains anywhere.
-#[allow(clippy::too_many_arguments)]
-fn coordinate(
-    nets: &[Mutex<Network>],
-    cursors: &mut [usize],
-    owners: &OwnerMap,
-    lookahead_ps: u64,
-    t: Time,
-    flow: &mut Flow,
-    obs: &mut MasterObs<'_>,
-) -> Option<Time> {
-    let mut guards: Vec<_> = nets
-        .iter()
-        .map(|m| m.lock().expect("no poisoned shard"))
-        .collect();
-    let n = guards.len();
-    cursors.fill(0);
-    let mut tcur = vec![0usize; n];
-    let mut fcur = vec![0usize; n];
+impl Round<'_> {
+    /// One worker's rounds over `shards`. The lead (worker 0) also
+    /// carries the master's replay bookkeeping and instruments.
+    fn work(
+        &self,
+        shards: std::ops::Range<usize>,
+        gseq: u64,
+        mut lead: Option<(&mut Flow, &mut MasterObs<'_>)>,
+    ) {
+        let _abort = AbortOnUnwind(&self.barrier);
+        let mut rp = Replayer {
+            maps: vec![Vec::new(); self.nets.len()],
+            gseq,
+        };
+        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
+        // Window k posts into parity k % 2; the first round replays the
+        // split's "window −1" in parity 1.
+        for k in 0usize.. {
+            let t0 = lead
+                .as_ref()
+                .and_then(|(_, o)| o.prof.as_ref())
+                .map(|_| std::time::Instant::now());
+            let posts: Vec<_> = self
+                .posts
+                .iter()
+                .map(|p| p[(k + 1) % 2].read().expect("no poisoned post"))
+                .collect();
+            rp.replay(&posts, lead.as_mut().map(|(f, o)| (&mut **f, &mut **o)));
+            // Every worker derives the same gmin from the same posts.
+            // Cross-shard events generated in (w₀, w₁] land at
+            // ≥ gmin + L, so w₁ = gmin + L − 1 is the widest window that
+            // cannot miss one; `None` once nothing at or before t is left.
+            let gmin = posts.iter().filter_map(|p| p.next_min).min();
+            let mut w_end = gmin
+                .filter(|&g| g <= self.t)
+                .map(|g| Time(g.as_ps().saturating_add(self.lookahead_ps - 1)).min(self.t));
+            if self.sampled {
+                // Every shard must be quiescent while the lead samples.
+                for s in shards.clone() {
+                    let mut net = self.nets[s].lock().expect("no poisoned shard");
+                    net.window_prologue(&rp.maps, &posts);
+                }
+                self.barrier.wait();
+                if let (Some((flow, obs)), Some(w), Some(gmin)) = (lead.as_mut(), w_end, gmin) {
+                    let tel = obs.tel.as_deref_mut().expect("sampled runs have telemetry");
+                    let capped = w.min(self.sample(gmin, flow, tel));
+                    self.w_end_ps.store(capped.as_ps(), Ordering::Relaxed);
+                }
+                self.barrier.wait();
+                w_end = w_end.map(|_| Time(self.w_end_ps.load(Ordering::Relaxed)));
+            }
+            if let (Some(t0), Some((_, obs))) = (t0, lead.as_mut()) {
+                if let Some(p) = obs.prof.as_mut() {
+                    p.record(Subsystem::Barrier, t0.elapsed().as_nanos() as u64);
+                }
+            }
+            // One lock per shard per round: prologue, then window. The
+            // last round only folds the final window's events in.
+            for s in shards.clone() {
+                let mut net = self.nets[s].lock().expect("no poisoned shard");
+                if !self.sampled {
+                    net.window_prologue(&rp.maps, &posts);
+                }
+                if let Some(w_end) = w_end {
+                    let mut post = self.posts[s][k % 2].write().expect("no poisoned post");
+                    net.run_window(w_end, &mut batch);
+                    net.publish(&mut post);
+                }
+            }
+            if w_end.is_none() {
+                break;
+            }
+            self.barrier.wait();
+        }
+    }
 
-    // Replay: merge the per-shard dispatch logs in global (time, true
-    // key) order. A provisional head key always resolves — the
-    // dispatch that allocated it precedes it in the same shard's log.
-    loop {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (s, g) in guards.iter().enumerate() {
-            let r = g.shard_route.as_ref().expect("shards carry a route");
-            if cursors[s] < r.log.len() {
-                let rec = r.log[cursors[s]];
-                let true_key = if rec.key < PROV_BASE {
+    /// The lead's telemetry step between prologues and windows, every
+    /// shard quiescent: sample the boundaries strictly before `gmin`,
+    /// and return the next unconsumed boundary — the window must stop
+    /// there, so no shard dispatches past a boundary before it is
+    /// sampled. (After sampling, that boundary is ≥ gmin, so the cap
+    /// never stalls the window.)
+    fn sample(&self, gmin: Time, flow: &Flow, tel: &mut NetTelemetry) -> Time {
+        // The serial loop samples a boundary lazily when the batch at
+        // gmin pops, right after extracting its head event — so the
+        // reading shows one more processed event and one less pending.
+        if tel.due_before(gmin) {
+            let guards = lock_all(self.nets);
+            let view = build_view(
+                &guards,
+                self.owners,
+                flow.processed + 1,
+                total_pending(&guards) - 1,
+            );
+            while tel.due_before(gmin) {
+                let b = tel.pop_boundary();
+                tel.sample(b, &view);
+            }
+        }
+        tel.next_boundary()
+    }
+}
+
+fn lock_all(nets: &[Padded<Mutex<Network>>]) -> Vec<MutexGuard<'_, Network>> {
+    nets.iter()
+        .map(|m| m.lock().expect("no poisoned shard"))
+        .collect()
+}
+
+/// Nothing left at or before `t`: flush the telemetry boundaries up to
+/// and including `t` with the final counters, exactly like the serial
+/// epilogue's inclusive sample.
+fn final_sample(ex: &ShardExec, t: Time, flow: &Flow, tel: &mut NetTelemetry) {
+    if tel.due_at(t) {
+        let guards = lock_all(&ex.nets);
+        let view = build_view(&guards, &ex.owners, flow.processed, total_pending(&guards));
+        while tel.due_at(t) {
+            let b = tel.pop_boundary();
+            tel.sample(b, &view);
+        }
+    }
+}
+
+/// One worker's replay state: every shard's provisional-key map for
+/// the window being replayed, and the serial engine's next sequence
+/// number — kept in step on every worker by identical merges.
+struct Replayer {
+    maps: Vec<Vec<u64>>,
+    gseq: u64,
+}
+
+/// The packed `(time, true key)` of log entry `c`, or [`DONE`]. A
+/// provisional key always resolves: the dispatch that allocated it
+/// precedes it in the same log, so the replay has already mapped it.
+#[inline]
+fn head(log: &[DispatchRec], map: &[u64], c: usize) -> u128 {
+    match log.get(c) {
+        None => DONE,
+        Some(rec) => {
+            // Branch-free: the lookup is clamped into range (the map
+            // has slack) and discarded for true keys.
+            let slot = (rec.key.wrapping_sub(PROV_BASE) as usize).min(map.len() - 1);
+            let resolved = map[slot];
+            pack(
+                rec.at,
+                if rec.key < PROV_BASE {
                     rec.key
                 } else {
-                    r.map[(rec.key - PROV_BASE) as usize]
-                };
-                if best.is_none_or(|(bt, bk, _)| (rec.at, true_key) < (bt, bk)) {
-                    best = Some((rec.at, true_key, s));
-                }
-            }
+                    resolved
+                },
+            )
         }
-        let Some((at, true_key, s)) = best else { break };
-        let rec = {
-            let r = guards[s].shard_route.as_mut().expect("shard");
-            let rec = r.log[cursors[s]];
-            cursors[s] += 1;
-            for j in 0..rec.n_sched as u64 {
-                r.map.push(flow.gseq + j);
-            }
-            rec
+    }
+}
+
+/// Map slots past the window's provisional count: room for [`head`]'s
+/// clamped lookup and for the replay's fixed-width fill.
+const MAP_SLACK: usize = 4;
+
+/// One shard's log as the merge walks it.
+struct Lane<'a> {
+    log: &'a [DispatchRec],
+    /// Next unreplayed record, and the next map slot it fills.
+    c: usize,
+    m: usize,
+    /// The packed `(time, true key)` of record `c`, [`DONE`] at the end.
+    head: u128,
+    /// Trace records and flight notes already replayed (lead only).
+    tcur: usize,
+    fcur: usize,
+}
+
+impl Replayer {
+    /// Replay one window: a k-way merge of the posted logs in global
+    /// `(time, true key)` order. Each shard's head key is cached and
+    /// only the shard that advanced re-derives it; picking the least
+    /// head is a branch-free scan, since which shard leads is as good
+    /// as random. Each replayed dispatch assigns its provisional events
+    /// the serial engine's next sequence numbers. On the lead, audit
+    /// cadence crossings and, with an instrument on, every dispatch
+    /// also take the slow path ([`observe_dispatch`]).
+    fn replay(
+        &mut self,
+        posts: &[RwLockReadGuard<'_, Post>],
+        mut lead: Option<(&mut Flow, &mut MasterObs<'_>)>,
+    ) {
+        let mut lanes: Vec<Lane<'_>> = posts
+            .iter()
+            .zip(&mut self.maps)
+            .map(|(p, map)| {
+                // Every provisional index the window allocated gets a
+                // slot; the replay fills them in allocation order.
+                map.clear();
+                map.resize(p.n_prov as usize + MAP_SLACK, 0);
+                Lane {
+                    log: &p.log,
+                    c: 0,
+                    m: 0,
+                    head: head(&p.log, map, 0),
+                    tcur: 0,
+                    fcur: 0,
+                }
+            })
+            .collect();
+        let observe = lead
+            .as_ref()
+            .is_some_and(|(_, o)| o.trc.is_some() || o.tel.is_some());
+        let slow_at = |lead: &Option<(&mut Flow, &mut MasterObs<'_>)>| match lead {
+            Some((f, _)) if !observe => f.next_at,
+            Some(_) => 0,
+            None => u64::MAX,
         };
-        // This dispatch's captured observability records enter the
-        // master streams here — the replay position IS the serial
-        // capture order, so record sequence numbers come out identical.
-        if rec.n_trace > 0 {
-            let end = tcur[s] + rec.n_trace as usize;
-            if let Some(mt) = obs.trc.as_mut() {
-                let st = guards[s]
-                    .tracer
-                    .as_ref()
-                    .expect("shards trace iff the master does");
-                for i in tcur[s]..end {
-                    mt.push(st.records()[i]);
+        let mut gseq = self.gseq;
+        let mut processed = lead.as_ref().map_or(0, |(f, _)| f.processed);
+        let mut slow = slow_at(&lead);
+        let mut last = None;
+        loop {
+            let mut s = 0;
+            for i in 1..lanes.len() {
+                s = if lanes[i].head < lanes[s].head { i } else { s };
+            }
+            let l = &mut lanes[s];
+            let key = l.head;
+            if key == DONE {
+                break;
+            }
+            let map = &mut self.maps[s];
+            let rec = &l.log[l.c];
+            l.c += 1;
+            let k = rec.n_sched as usize;
+            // Most dispatches schedule a few events: fill a fixed-width
+            // run (slots past `k` are rewritten by the next dispatch or
+            // fall in the slack), and loop only for the rare rest.
+            for (j, slot) in map[l.m..l.m + MAP_SLACK].iter_mut().enumerate() {
+                *slot = gseq + j as u64;
+            }
+            for (j, slot) in map[l.m..l.m + k].iter_mut().enumerate().skip(MAP_SLACK) {
+                *slot = gseq + j as u64;
+            }
+            l.m += k;
+            gseq += k as u64;
+            processed += 1;
+            let at_key = (Time((key >> 64) as u64), key as u64);
+            if processed >= slow {
+                if let Some((flow, obs)) = lead.as_mut() {
+                    flow.processed = processed;
+                    observe_dispatch(rec, at_key, l, &posts[s], flow, obs);
                 }
+                slow = slow_at(&lead);
             }
-            tcur[s] = end;
+            l.head = head(l.log, map, l.c);
+            last = Some(at_key);
         }
-        if rec.n_flight > 0 {
-            let end = fcur[s] + rec.n_flight as usize;
-            if let Some(tel) = obs.tel.as_mut() {
-                for i in fcur[s]..end {
-                    let (fat, kind, subject, detail) = {
-                        let b = guards[s]
-                            .obs_buf
-                            .as_ref()
-                            .expect("shards buffer flight iff telemetry is on");
-                        let e = &b.flight[i];
-                        (e.0, e.1, e.2.clone(), e.3.clone())
-                    };
-                    tel.flight.record(fat, kind, subject, detail);
-                }
+        self.gseq = gseq;
+        if let Some((flow, _)) = lead {
+            if let Some((at, key)) = last {
+                flow.last_pop = Some((at, key));
+                flow.now = at;
             }
-            fcur[s] = end;
-        }
-        flow.gseq += rec.n_sched as u64;
-        flow.processed += 1;
-        flow.last_pop = Some((at, true_key));
-        flow.now = at;
-        // Audit::due, replicated: the serial loop consults it after
-        // every dispatched event.
-        if flow.audit_on && flow.processed >= flow.next_at {
-            flow.next_at = flow.processed + flow.audit_every;
-            flow.crossings += 1;
-            flow.cross_marks = (flow.last_pop, flow.processed);
-            // The serial pass here recorded a clean AuditPass note
-            // (violations would have panicked the run; the merge's
-            // deferred full pass re-checks that). Sanctioned drops are
-            // constant during a drive — BECN-loss declines sharding.
-            if let Some(tel) = obs.tel.as_mut() {
-                tel.flight.record(
-                    at,
-                    FlightKind::AuditPass,
-                    "audit",
-                    format!("clean; sanctioned drops {}", flow.sanction0),
-                );
-            }
+            flow.gseq = gseq;
+            flow.processed = processed;
         }
     }
+}
 
-    // Every logged dispatch replayed exactly once, so the shard-side
-    // capture buffers must now be fully consumed; reset them for the
-    // next window.
-    for (s, g) in guards.iter_mut().enumerate() {
-        if let Some(tr) = g.tracer.as_mut() {
-            debug_assert_eq!(tcur[s], tr.records().len(), "unreplayed trace records");
-            tr.drain_records();
-        }
-        if let Some(b) = g.obs_buf.as_mut() {
-            debug_assert_eq!(fcur[s], b.flight.len(), "unreplayed flight notes");
-            b.flight.clear();
-        }
-    }
-
-    // Route the outboxes now that every provisional key has its true
-    // identity. Shard-index order keeps delivery deterministic (the
-    // keys, not arrival order, decide everything downstream anyway).
-    for s in 0..n {
-        let msgs = {
-            let r = guards[s].shard_route.as_mut().expect("shard");
-            std::mem::take(&mut r.outbox)
-        };
-        for m in msgs {
-            let seq = guards[s].shard_route.as_ref().expect("shard").map[m.prov as usize];
-            let tgt = m.target as usize;
-            guards[tgt]
-                .shard_route
-                .as_mut()
-                .expect("shard")
-                .inbox
-                .push((m.at, seq, m.ev));
-        }
-    }
-
-    // Next window: everything pending anywhere — main queues, not-yet-
-    // relabelled window queues, undelivered inboxes — bounds gmin.
-    let mut gmin: Option<Time> = None;
-    for g in guards.iter() {
-        let r = g.shard_route.as_ref().expect("shard");
-        let candidates = [
-            g.queue.peek_time(),
-            r.win.peek_time(),
-            r.later.iter().map(|e| e.0).min(),
-            r.inbox.iter().map(|e| e.0).min(),
-        ];
-        for c in candidates.into_iter().flatten() {
-            gmin = Some(gmin.map_or(c, |m| m.min(c)));
-        }
-    }
-    match gmin {
-        Some(gmin) if gmin <= t => {
-            // Boundaries strictly before the next event: the serial
-            // loop samples them lazily when the batch at gmin pops,
-            // right after extracting its head event — so the reading
-            // shows one more processed event and one less pending.
-            if let Some(tel) = obs.tel.as_mut() {
-                if tel.due_before(gmin) {
-                    let pend = total_pending(&guards);
-                    let view = build_view(&guards, owners, flow.processed + 1, pend - 1);
-                    while tel.due_before(gmin) {
-                        let b = tel.pop_boundary();
-                        tel.sample(b, &view);
-                    }
-                }
+/// The lead's replay slow path for one dispatch: move its captured
+/// trace records and flight notes into the master streams (the replay
+/// position IS the serial capture order, so record sequence numbers
+/// come out identical), then step the audit cadence.
+#[cold]
+fn observe_dispatch(
+    rec: &DispatchRec,
+    key: (Time, u64),
+    lane: &mut Lane<'_>,
+    post: &Post,
+    flow: &mut Flow,
+    obs: &mut MasterObs<'_>,
+) {
+    if rec.n_trace > 0 {
+        let end = lane.tcur + rec.n_trace as usize;
+        if let Some(mt) = obs.trc.as_mut() {
+            for &r in &post.trace[lane.tcur..end] {
+                mt.push(r);
             }
-            // Cross-shard events generated in (w₀, w₁] land at
-            // ≥ gmin + L, so w₁ = gmin + L − 1 is the widest window
-            // that cannot miss one. With telemetry on, the window also
-            // stops at the next unconsumed boundary: no shard may
-            // dispatch an event past a boundary before it is sampled.
-            // (After the loop above, next_boundary ≥ gmin, so the cap
-            // never stalls the window.)
-            let mut w1 = Time(gmin.as_ps().saturating_add(lookahead_ps - 1)).min(t);
-            if let Some(tel) = obs.tel.as_ref() {
-                w1 = w1.min(tel.next_boundary());
-            }
-            Some(w1)
         }
-        _ => {
-            // Nothing left at or before t: flush boundaries up to and
-            // including t with the final counters, exactly like the
-            // serial epilogue's inclusive sample.
-            if let Some(tel) = obs.tel.as_mut() {
-                if tel.due_at(t) {
-                    let pend = total_pending(&guards);
-                    let view = build_view(&guards, owners, flow.processed, pend);
-                    while tel.due_at(t) {
-                        let b = tel.pop_boundary();
-                        tel.sample(b, &view);
-                    }
-                }
+        lane.tcur = end;
+    }
+    if rec.n_flight > 0 {
+        let end = lane.fcur + rec.n_flight as usize;
+        if let Some(tel) = obs.tel.as_mut() {
+            for (fat, kind, subject, detail) in &post.flight[lane.fcur..end] {
+                tel.flight
+                    .record(*fat, *kind, subject.clone(), detail.clone());
             }
-            None
+        }
+        lane.fcur = end;
+    }
+    if flow.audit_on && flow.processed >= flow.next_at {
+        flow.next_at = flow.processed + flow.audit_every;
+        flow.crossings += 1;
+        flow.cross_marks = (Some(key), flow.processed);
+        // The serial pass here recorded a clean AuditPass note
+        // (violations would have panicked the run; the merge's
+        // deferred full pass re-checks that). Sanctioned drops are
+        // constant during a drive — BECN-loss declines sharding.
+        if let Some(tel) = obs.tel.as_mut() {
+            tel.flight.record(
+                key.0,
+                FlightKind::AuditPass,
+                "audit",
+                format!("clean; sanctioned drops {}", flow.sanction0),
+            );
         }
     }
 }
 
 /// Global pending-event count across the shards — main queues plus
-/// every not-yet-requeued window-local, later and inbox event. At a
-/// barrier this equals the serial engine's `pending()` exactly: the
+/// every not-yet-requeued window-local, later and handed-over event. At
+/// a barrier this equals the serial engine's `pending()` exactly: the
 /// windows drained every event with time < gmin, and nothing else.
 fn total_pending(guards: &[MutexGuard<'_, Network>]) -> usize {
     guards
         .iter()
         .map(|g| {
             let r = g.shard_route.as_ref().expect("shard");
-            g.queue.pending() + r.win.pending() + r.later.len() + r.inbox.len()
+            g.queue.pending() + r.win.pending() + r.later.len()
         })
         .sum()
 }
@@ -1121,5 +1373,63 @@ fn build_view<'a>(
             .collect(),
         events_processed,
         queue_depth,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DestPattern, NetConfig, TrafficClass};
+    use ibsim_topo::FatTreeSpec;
+
+    #[test]
+    fn workers_never_exceed_shards_or_cores() {
+        assert_eq!(workers_for(2, 2), 2);
+        assert_eq!(workers_for(4, 2), 2);
+        assert_eq!(workers_for(4, 1), 1);
+        assert_eq!(workers_for(2, 16), 2);
+        assert_eq!(workers_for(8, 8), 8);
+        // Degenerate inputs still yield one worker.
+        assert_eq!(workers_for(0, 4), 1);
+        assert_eq!(workers_for(3, 0), 1);
+    }
+
+    /// Four shards on one worker and on two — several shards per worker,
+    /// whatever the host's core count — hold the serial engine's exact
+    /// state at every capture instant.
+    #[test]
+    fn more_shards_than_workers_matches_serial() {
+        let topo = FatTreeSpec::TEST_8.build();
+        let captures = [150, 350, 500].map(Time::from_us);
+        let run = |shards: usize, workers: Option<usize>| {
+            let mut net = Network::new(&topo, NetConfig::paper().with_seed(0x1B51_C0DE));
+            for node in 0..topo.num_hcas as u32 {
+                let dest = if node % 3 == 0 {
+                    DestPattern::Fixed(0)
+                } else {
+                    DestPattern::UniformExceptSelf
+                };
+                net.set_classes(node, vec![TrafficClass::new(100, dest, 4096)]);
+            }
+            net.set_shards(&topo, shards);
+            if let (Some(ex), Some(w)) = (net.shards.as_mut(), workers) {
+                assert_eq!(ex.n, shards, "the fabric splits {shards} ways");
+                ex.workers = w;
+            }
+            captures
+                .iter()
+                .map(|&t| {
+                    net.run_until(t);
+                    net.checkpoint()
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = run(1, None);
+        for w in [1, 2] {
+            assert!(
+                run(4, Some(w)) == serial,
+                "4 shards on {w} worker(s) diverged from serial"
+            );
+        }
     }
 }
