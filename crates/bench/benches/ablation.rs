@@ -10,7 +10,7 @@ fn cell_with(params: CcParams) -> ScenarioResult {
     let (topo, roles) = tiny_roles();
     let mut cfg = NetConfig::paper();
     cfg.cc = Some(params);
-    run_scenario(&topo, cfg, roles, bench_durations(), None)
+    run_scenario_opts(&topo, cfg, roles, bench_durations(), None, true)
 }
 
 fn ablation(c: &mut Criterion) {

@@ -15,6 +15,7 @@ fn moving_pair(lifetime_us: u64) -> CcComparison {
         c_pct_of_rest: 80,
     };
     run_cc_pair(
+        &RunOptions::from_env().unwrap(),
         &topo,
         &bench_cfg(true),
         roles,

@@ -24,12 +24,13 @@ fn table2(c: &mut Criterion) {
     // timed cells below use much shorter windows purely for speed).
     let (topo, roles) = tiny_roles();
     let shape = |cc: bool| {
-        run_scenario(
+        run_scenario_opts(
             &topo,
             bench_cfg(cc),
             roles,
             RunDurations::new_ms(2, 4),
             None,
+            true,
         )
     };
     let off = shape(false);

@@ -15,7 +15,14 @@ fn windy_pair_with(p: u32, dur: RunDurations) -> CcComparison {
         b_p: p,
         c_pct_of_rest: 80,
     };
-    run_cc_pair(&topo, &bench_cfg(true), roles, dur, None)
+    run_cc_pair(
+        &RunOptions::from_env().unwrap(),
+        &topo,
+        &bench_cfg(true),
+        roles,
+        dur,
+        None,
+    )
 }
 
 fn windy_pair(p: u32) -> CcComparison {

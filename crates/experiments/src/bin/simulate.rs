@@ -11,24 +11,20 @@
 
 use ibsim::prelude::*;
 use ibsim_experiments::spec::SimSpec;
-use ibsim_experiments::{f2, f3, Args};
+use ibsim_experiments::{f2, f3, Args, CKPT_FLAGS, RUN_FLAGS};
 
 fn main() {
-    let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let args = Args::parse(&[RUN_FLAGS, CKPT_FLAGS, &["json"]]);
+    let opts = args.run_options();
     let Some(path) = args.positionals.first() else {
         eprintln!("usage: simulate <spec.json> [--json]");
         std::process::exit(2);
     };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let spec = SimSpec::from_json(&text).unwrap_or_else(|e| panic!("bad spec: {e}"));
-    let (on, off) = spec.run().unwrap_or_else(|e| panic!("run failed: {e}"));
+    let (on, off) = spec
+        .run(&opts)
+        .unwrap_or_else(|e| panic!("run failed: {e}"));
 
     if args.get_flag("json") {
         println!(

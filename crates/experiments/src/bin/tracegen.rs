@@ -19,7 +19,16 @@ use ibsim_experiments::Args;
 use ibsim_traffic::{TraceGenSpec, TracePattern, TraceReader};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[&[
+        "nodes",
+        "flows",
+        "bytes",
+        "hotspots",
+        "hot-pct",
+        "mean-gap-ns",
+        "load-pct",
+        "seed",
+    ]]);
     let path = args
         .positionals
         .first()

@@ -20,7 +20,7 @@
 //! mid-shift and mid-phase.
 
 use ibsim::prelude::*;
-use ibsim_experiments::{run_workload_cli, Args};
+use ibsim_experiments::{run_workload_cli, Args, CKPT_FLAGS, RUN_FLAGS};
 use ibsim_traffic::WorkloadSpec;
 
 fn fabric(name: &str) -> Topology {
@@ -53,14 +53,20 @@ fn ladder(nodes: usize) -> Vec<WorkloadSpec> {
 }
 
 fn main() {
-    let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let args = Args::parse(&[
+        RUN_FLAGS,
+        CKPT_FLAGS,
+        &[
+            "preset",
+            "seed",
+            "fabric",
+            "warmup-us",
+            "measure-us",
+            "workload",
+            "all",
+        ],
+    ]);
+    let opts = args.run_options();
     let topo = fabric(args.get("fabric").unwrap_or("fat8"));
     let cfg = args.preset().net_config().with_seed(args.seed());
     let dur = RunDurations {
@@ -87,7 +93,7 @@ fn main() {
     );
     let mut summary = Vec::new();
     for spec in &specs {
-        let r = run_workload_cli(&args, &topo, cfg.clone(), spec, dur);
+        let r = run_workload_cli(&opts, &topo, cfg.clone(), spec, dur);
         summary.push((spec.name(), r.total_rx, r.drained));
     }
     if summary.len() > 1 {

@@ -71,7 +71,10 @@ impl SimSpec {
     /// Resolve, validate, and run. Returns the CC-configured result and,
     /// when `compare_cc_off`, the CC-off twin. Specs carrying a
     /// `workload` belong to [`run_workload`](Self::run_workload).
-    pub fn run(&self) -> Result<(ScenarioResult, Option<ScenarioResult>), String> {
+    pub fn run(
+        &self,
+        opts: &RunOptions,
+    ) -> Result<(ScenarioResult, Option<ScenarioResult>), String> {
         if self.workload.is_some() {
             return Err("spec carries a workload; use run_workload()".into());
         }
@@ -90,11 +93,11 @@ impl SimSpec {
         self.net.validate()?;
         let dur = RunDurations::new_ms(self.warmup_ms, self.measure_ms);
         let life = self.hotspot_lifetime_us.map(TimeDelta::from_us);
-        let main = run_scenario(&topo, self.net.clone(), roles, dur, life);
+        let main = run_scenario_with(opts, &topo, self.net.clone(), roles, dur, life, true);
         let off = if self.compare_cc_off {
             let mut cfg = self.net.clone();
             cfg.cc = None;
-            Some(run_scenario(&topo, cfg, roles, dur, life))
+            Some(run_scenario_with(opts, &topo, cfg, roles, dur, life, true))
         } else {
             None
         };
@@ -103,7 +106,10 @@ impl SimSpec {
 
     /// Run the spec's production workload (and, when `compare_cc_off`,
     /// its CC-off twin) on the declared topology.
-    pub fn run_workload(&self) -> Result<(WorkloadResult, Option<WorkloadResult>), String> {
+    pub fn run_workload(
+        &self,
+        opts: &RunOptions,
+    ) -> Result<(WorkloadResult, Option<WorkloadResult>), String> {
         let Some(wl) = &self.workload else {
             return Err("spec has no workload; use run()".into());
         };
@@ -111,11 +117,11 @@ impl SimSpec {
         topo.validate()?;
         self.net.validate()?;
         let dur = RunDurations::new_ms(self.warmup_ms, self.measure_ms);
-        let main = run_workload(&topo, self.net.clone(), wl, dur);
+        let main = run_workload_with(opts, &topo, self.net.clone(), wl, dur);
         let off = if self.compare_cc_off {
             let mut cfg = self.net.clone();
             cfg.cc = None;
-            Some(run_workload(&topo, cfg, wl, dur))
+            Some(run_workload_with(opts, &topo, cfg, wl, dur))
         } else {
             None
         };
@@ -137,7 +143,7 @@ mod tests {
     #[test]
     fn minimal_spec_parses_and_runs() {
         let spec = SimSpec::from_json(MINIMAL).unwrap();
-        let (r, off) = spec.run().unwrap();
+        let (r, off) = spec.run(&RunOptions::from_env().unwrap()).unwrap();
         assert!(r.cc);
         assert!(off.is_none());
         assert!(r.hotspot_rx > 5.0, "{r:?}");
@@ -147,7 +153,7 @@ mod tests {
     fn cc_off_twin() {
         let mut spec = SimSpec::from_json(MINIMAL).unwrap();
         spec.compare_cc_off = true;
-        let (_, off) = spec.run().unwrap();
+        let (_, off) = spec.run(&RunOptions::from_env().unwrap()).unwrap();
         assert!(!off.unwrap().cc);
     }
 
@@ -165,7 +171,7 @@ mod tests {
         assert_eq!(spec.net.seed, 7);
         // Unspecified fields fall back to the paper defaults.
         assert_eq!(spec.net.link_bw.as_gbps_f64(), 20.0);
-        spec.run().unwrap();
+        spec.run(&RunOptions::from_env().unwrap()).unwrap();
     }
 
     #[test]
@@ -176,7 +182,10 @@ mod tests {
                        "b_pct": 0, "b_p": 0, "c_pct_of_rest": 80 }
         }"#;
         let spec = SimSpec::from_json(json).unwrap();
-        assert!(spec.run().unwrap_err().contains("num_nodes"));
+        assert!(spec
+            .run(&RunOptions::from_env().unwrap())
+            .unwrap_err()
+            .contains("num_nodes"));
     }
 
     #[test]
@@ -193,7 +202,7 @@ mod tests {
                      "warmup_ms": 1, "measure_ms": 1 }}"#
             );
             let spec = SimSpec::from_json(&json).unwrap();
-            spec.run().unwrap();
+            spec.run(&RunOptions::from_env().unwrap()).unwrap();
         }
     }
 }

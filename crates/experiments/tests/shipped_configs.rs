@@ -1,6 +1,7 @@
 //! The JSON scenario files shipped in `configs/` must stay parseable
 //! and runnable as the spec format evolves.
 
+use ibsim::RunOptions;
 use ibsim_experiments::spec::SimSpec;
 
 fn configs_dir() -> std::path::PathBuf {
@@ -40,7 +41,7 @@ fn silent_forest_config_runs_end_to_end() {
     // Shrink for test speed; semantics unchanged.
     spec.warmup_ms = 1;
     spec.measure_ms = 1;
-    let (on, off) = spec.run().unwrap();
+    let (on, off) = spec.run(&RunOptions::from_env().unwrap()).unwrap();
     let off = off.expect("config requests a CC-off twin");
     assert!(
         on.total_rx > off.total_rx,

@@ -81,7 +81,7 @@ fn main() {
     // CC-off reference.
     let mut cfg_off = preset.net_config();
     cfg_off.cc = None;
-    let off = run_scenario(&topo, cfg_off, roles, dur, None);
+    let off = run_scenario_opts(&topo, cfg_off, roles, dur, None, true);
     println!(
         "reference, CC disabled: victims {:.2} Gbit/s, hotspots {:.2} Gbit/s\n",
         off.non_hotspot_rx, off.hotspot_rx
@@ -90,7 +90,7 @@ fn main() {
     let results = parallel_map(&variants, 0, |v| {
         let mut cfg = preset.net_config();
         cfg.cc = Some(v.params.clone());
-        run_scenario(&topo, cfg, roles, dur, None)
+        run_scenario_opts(&topo, cfg, roles, dur, None, true)
     });
 
     println!(

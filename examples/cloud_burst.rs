@@ -37,7 +37,14 @@ fn main() {
     println!("churn (hotspot lifetime)   avg rx, CC off   avg rx, CC on   CC gain");
 
     let pairs = parallel_map(&lifetimes, 0, |&life| {
-        run_cc_pair(&topo, &preset.net_config(), roles, dur, Some(life))
+        run_cc_pair(
+            &RunOptions::from_env().unwrap(),
+            &topo,
+            &preset.net_config(),
+            roles,
+            dur,
+            Some(life),
+        )
     });
 
     let mut last_gain = f64::INFINITY;

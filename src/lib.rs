@@ -31,6 +31,7 @@
 //!     c_pct_of_rest: 80,
 //! };
 //! let pair = run_cc_pair(
+//!     &RunOptions::from_env().unwrap(),
 //!     &topo,
 //!     &NetConfig::paper(),
 //!     roles,
@@ -41,48 +42,44 @@
 //! assert!(pair.improvement() > 0.9);
 //! ```
 
-pub mod audit;
-pub mod backend;
 pub mod bisect;
 pub mod checkpoint;
 pub mod drill;
 pub mod experiment;
 pub mod figures;
+pub mod options;
 pub mod preset;
-pub mod profile;
 pub mod replicas;
 pub mod report;
-pub mod shards;
 pub mod sweep;
-pub mod telemetry;
-pub mod trace;
 pub mod workload;
 
 pub use bisect::{bisect_divergence, perturb_cc, Divergence};
-pub use drill::{run_drill, run_drill_floor, DrillReport};
-pub use figures::{FigureRow, FigureSeries};
+pub use drill::{run_drill_floor, DrillReport};
 pub use experiment::{
-    run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_faults, run_scenario_opts,
-    CcComparison, RunDurations, ScenarioResult,
+    run_cc_pair, run_scenario_opts, run_scenario_with, CcComparison, RunDurations, ScenarioResult,
 };
+pub use figures::{FigureRow, FigureSeries};
+pub use options::{FlowSpec, RunOptions};
 pub use preset::Preset;
 pub use replicas::{run_scenario_replicated, Estimate, ReplicatedResult};
 pub use sweep::{parallel_map, parallel_map_progress};
-pub use workload::{run_workload, WorkloadResult};
+pub use workload::{run_workload, run_workload_with, WorkloadResult};
 
 /// One-stop imports for examples and binaries.
 pub mod prelude {
-    pub use crate::drill::{run_drill, run_drill_floor, DrillReport};
-    pub use crate::figures::{FigureRow, FigureSeries};
+    pub use crate::drill::{run_drill_floor, DrillReport};
     pub use crate::experiment::{
-        run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_faults, run_scenario_opts,
-        CcComparison, RunDurations, ScenarioResult,
+        run_cc_pair, run_scenario_opts, run_scenario_with, CcComparison, RunDurations,
+        ScenarioResult,
     };
+    pub use crate::figures::{FigureRow, FigureSeries};
+    pub use crate::options::{FlowSpec, RunOptions};
     pub use crate::preset::Preset;
     pub use crate::replicas::{run_scenario_replicated, Estimate, ReplicatedResult};
     pub use crate::report::{ascii_plot, ascii_table, write_csv, write_json, PlotSeries};
     pub use crate::sweep::{parallel_map, parallel_map_progress};
-    pub use crate::workload::{run_workload, WorkloadResult};
+    pub use crate::workload::{run_workload, run_workload_with, WorkloadResult};
     pub use ibsim_cc::{CcMode, CcParams, Cct, CctShape};
     pub use ibsim_engine::time::{Bandwidth, Time, TimeDelta};
     pub use ibsim_net::{

@@ -2,7 +2,8 @@
 //! and report mean ± confidence interval, so experiment outputs carry
 //! statistical weight rather than single-draw noise.
 
-use crate::experiment::{run_scenario, RunDurations, ScenarioResult};
+use crate::experiment::{run_scenario_with, RunDurations, ScenarioResult};
+use crate::options::RunOptions;
 use crate::sweep::parallel_map;
 use ibsim_engine::time::TimeDelta;
 use ibsim_net::NetConfig;
@@ -68,8 +69,11 @@ pub struct ReplicatedResult {
     pub replicas: Vec<ScenarioResult>,
 }
 
-/// Run `run_scenario` once per seed (in parallel) and aggregate.
+/// Run [`run_scenario_with`] under `opts` once per seed (in parallel)
+/// and aggregate.
+#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_replicated(
+    opts: &RunOptions,
     topo: &Topology,
     cfg: &NetConfig,
     roles: RoleSpec,
@@ -79,12 +83,14 @@ pub fn run_scenario_replicated(
     threads: usize,
 ) -> ReplicatedResult {
     let replicas = parallel_map(seeds, threads, |&seed| {
-        run_scenario(
+        run_scenario_with(
+            opts,
             topo,
             cfg.clone().with_seed(seed),
             roles,
             dur,
             hotspot_lifetime,
+            true,
         )
     });
     let pick = |f: fn(&ScenarioResult) -> f64| {
@@ -150,6 +156,7 @@ mod tests {
             c_pct_of_rest: 80,
         };
         let r = run_scenario_replicated(
+            &RunOptions::from_env().unwrap(),
             &topo,
             &NetConfig::paper(),
             roles,

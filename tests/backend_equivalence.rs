@@ -1,27 +1,33 @@
 //! The congestion-control backend differential layer.
 //!
 //! The `CongestionControl` refactor moved the IB CC machinery behind
-//! `ibsim_cc::SourceCc` and added a process-wide backend selector
-//! (`ibsim::backend`). These tests prove the refactor is invisible:
-//! `--cc-backend ibcc` — and the flag's absence — reproduce the
-//! pre-refactor byte streams exactly (the same literal CSV pin
+//! `ibsim_cc::SourceCc` and added a backend selector
+//! (`RunOptions::backend`). These tests prove the refactor is
+//! invisible: `--cc-backend ibcc` — and the flag's absence — reproduce
+//! the pre-refactor byte streams exactly (the same literal CSV pin
 //! `tests/determinism.rs` guards), across seeds, fabrics, fault
 //! schedules and shard counts. The DCQCN half then runs the paper's
 //! scenario ladder under the new backend with the invariant oracle
-//! armed: `run_scenario_faults` ends every run with
+//! armed: `run_scenario_with` ends every run with
 //! `audit_checked().raise()`, so a single unsanctioned violation —
 //! including `PauseLosslessness` — panics the test.
-//!
-//! The backend selector is process-global; every test that touches a
-//! toggle holds [`TOGGLES`] for its whole body.
 
 use ibsim::prelude::*;
 use ibsim_cc::CcBackend;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// One test at a time may own the process-wide toggles.
-static TOGGLES: Mutex<()> = Mutex::new(());
+fn env() -> RunOptions {
+    RunOptions::from_env().unwrap()
+}
+
+/// Environment options running CC-on cells under `backend`, audited.
+fn audited(backend: CcBackend) -> RunOptions {
+    RunOptions {
+        backend,
+        audit: true,
+        ..env()
+    }
+}
 
 fn tiny_roles(topo: &Topology) -> RoleSpec {
     RoleSpec {
@@ -41,7 +47,13 @@ fn tiny_dur() -> RunDurations {
 }
 
 /// The `table2` CSV exactly as `tests/determinism.rs` builds it.
-fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDurations) -> String {
+fn table2_csv(
+    opts: &RunOptions,
+    topo: &Topology,
+    cfg: &NetConfig,
+    roles: RoleSpec,
+    dur: RunDurations,
+) -> String {
     let f3 = |x: f64| format!("{x:.3}");
     let cells = [(false, false), (true, false), (false, true), (true, true)];
     let results: Vec<ScenarioResult> = cells
@@ -51,7 +63,7 @@ fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDuratio
             if !cc {
                 c.cc = None;
             }
-            run_scenario_opts(topo, c, roles, dur, None, active)
+            run_scenario_with(opts, topo, c, roles, dur, None, active)
         })
         .collect();
     let (base_off, base_on, hs_off, hs_on) = (&results[0], &results[1], &results[2], &results[3]);
@@ -73,7 +85,7 @@ fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDuratio
 }
 
 /// The exact pre-refactor TEST_8 pin from `tests/determinism.rs`. Both
-/// the bare runner and a forced `--cc-backend ibcc` must land on this
+/// the default options and an explicit `--cc-backend ibcc` must land on this
 /// literal — comparing against the committed string (not merely
 /// against each other) rules out the backend split shifting *both*
 /// paths in lockstep.
@@ -89,19 +101,20 @@ const TINY_TABLE2_PIN: &str = "metric,gbps\n\
 
 #[test]
 fn forced_ibcc_and_flag_absence_reproduce_the_pre_refactor_pin() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
+    let (cfg, roles) = (NetConfig::paper(), tiny_roles(&topo));
 
-    ibsim::backend::clear(); // flag omitted
-    let bare = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
+    let bare = table2_csv(&env(), &topo, &cfg, roles, tiny_dur());
     assert_eq!(
         bare, TINY_TABLE2_PIN,
         "the backend refactor shifted the default (flag-omitted) output"
     );
 
-    ibsim::backend::force(CcBackend::IbCc);
-    let forced = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    ibsim::backend::clear();
+    let ib = RunOptions {
+        backend: CcBackend::IbCc,
+        ..env()
+    };
+    let forced = table2_csv(&ib, &topo, &cfg, roles, tiny_dur());
     assert_eq!(
         forced, TINY_TABLE2_PIN,
         "--cc-backend ibcc diverged from the pre-refactor pin"
@@ -109,18 +122,13 @@ fn forced_ibcc_and_flag_absence_reproduce_the_pre_refactor_pin() {
 }
 
 /// One scenario run summarised to a comparable byte string.
-fn run_digest(
-    topo: &Topology,
-    roles: RoleSpec,
-    seed: u64,
-    faults: Option<&FaultSchedule>,
-) -> String {
+fn run_digest(opts: &RunOptions, topo: &Topology, roles: RoleSpec, seed: u64) -> String {
     let cfg = NetConfig::paper().with_seed(seed);
     let dur = RunDurations {
         warmup: TimeDelta::from_us(100),
         measure: TimeDelta::from_us(200),
     };
-    let r = run_scenario_faults(topo, cfg, roles, dur, None, true, faults);
+    let r = run_scenario_with(opts, topo, cfg, roles, dur, None, true);
     serde_json::to_string(&r).expect("serialise result")
 }
 
@@ -128,9 +136,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Differential pin over the whole configuration lattice: for any
-    /// seed × fabric × fault schedule × shard count, the bare runner
-    /// and a forced `--cc-backend ibcc` produce byte-identical run
-    /// summaries.
+    /// seed × fabric × fault schedule × shard count, the default
+    /// backend and an explicit `--cc-backend ibcc` produce
+    /// byte-identical run summaries.
     #[test]
     fn ibcc_backend_is_byte_identical_across_seeds_fabrics_faults_shards(
         seed in 0u64..1_000_000,
@@ -139,29 +147,21 @@ proptest! {
         shard_pick in 0usize..3,
     ) {
         let shards = [1usize, 2, 4][shard_pick];
-        let _guard = TOGGLES.lock().unwrap();
         let topo = if big_fabric {
             FatTreeSpec::TEST_8.build()
         } else {
             single_switch(6, 2)
         };
         let roles = tiny_roles(&topo);
-        let schedule;
-        let faults = if with_faults {
-            schedule = FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", seed)
-                .expect("valid spec");
-            Some(&schedule)
-        } else {
-            None
-        };
-
-        ibsim::shards::force(shards);
-        ibsim::backend::clear();
-        let bare = run_digest(&topo, roles, seed, faults);
-        ibsim::backend::force(CcBackend::IbCc);
-        let forced = run_digest(&topo, roles, seed, faults);
-        ibsim::backend::clear();
-        ibsim::shards::force(1);
+        let faults = with_faults.then(|| {
+            FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", seed).expect("valid spec")
+        });
+        let bare = RunOptions { shards, faults, ..env() };
+        let forced = RunOptions { backend: CcBackend::IbCc, ..bare.clone() };
+        let (bare, forced) = (
+            run_digest(&bare, &topo, roles, seed),
+            run_digest(&forced, &topo, roles, seed),
+        );
 
         prop_assert_eq!(
             bare, forced,
@@ -174,19 +174,18 @@ proptest! {
 
 /// The DCQCN backend runs the paper's scenario ladder — silent, windy
 /// and moving (stormy) hotspot forests — with the invariant oracle
-/// armed. `run_scenario_faults` raises on any unsanctioned violation,
+/// armed. `run_scenario_with` raises on any unsanctioned violation,
 /// so this test passing means zero credit-ledger, packet-conservation
 /// and `PauseLosslessness` violations under the new backend.
 #[test]
 fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
-    ibsim::backend::force(CcBackend::Dcqcn);
-    ibsim::audit::force(true);
+    let opts = audited(CcBackend::Dcqcn);
 
     // Silent forest (fixed hotspots) and the no-hotspot baseline.
     for active in [true, false] {
-        let r = run_scenario_opts(
+        let r = run_scenario_with(
+            &opts,
             &topo,
             NetConfig::paper(),
             tiny_roles(&topo),
@@ -205,22 +204,28 @@ fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
             b_p: p,
             c_pct_of_rest: 80,
         };
-        let r = run_scenario(&topo, NetConfig::paper(), roles, tiny_dur(), None);
+        let r = run_scenario_with(
+            &opts,
+            &topo,
+            NetConfig::paper(),
+            roles,
+            tiny_dur(),
+            None,
+            true,
+        );
         assert!(r.total_rx > 0.0);
     }
     // Stormy forest: hotspots move every 200 µs.
-    let r = run_scenario(
+    let r = run_scenario_with(
+        &opts,
         &topo,
         NetConfig::paper(),
         tiny_roles(&topo),
         tiny_dur(),
         Some(TimeDelta::from_us(200)),
+        true,
     );
     assert!(r.total_rx > 0.0);
-
-    ibsim::audit::force(false);
-    ibsim::backend::force(CcBackend::IbCc);
-    ibsim::backend::clear();
 }
 
 /// DCQCN under audit + faults (CNP-loss windows where the fault layer
@@ -228,37 +233,27 @@ fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
 /// and sharding must not change a byte of the summary.
 #[test]
 fn dcqcn_with_faults_and_shards_is_clean_and_shard_invariant() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
-    ibsim::backend::force(CcBackend::Dcqcn);
-    ibsim::audit::force(true);
     let schedule =
         FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", 0x1B51_C0DE).expect("valid spec");
 
-    let run = || {
-        let r = run_scenario_faults(
-            &topo,
-            NetConfig::paper(),
-            tiny_roles(&topo),
-            tiny_dur(),
-            None,
-            true,
-            Some(&schedule),
-        );
+    let run = |shards: usize| {
+        let opts = RunOptions {
+            faults: Some(schedule.clone()),
+            shards,
+            ..audited(CcBackend::Dcqcn)
+        };
+        let (cfg, roles) = (NetConfig::paper(), tiny_roles(&topo));
+        let r = run_scenario_with(&opts, &topo, cfg, roles, tiny_dur(), None, true);
         serde_json::to_string(&r).expect("serialise result")
     };
-    let serial = run();
-    ibsim::shards::force(4);
-    let sharded = run();
-    ibsim::shards::force(1);
+    let serial = run(1);
+    let sharded = run(4);
 
     assert_eq!(
         serial, sharded,
         "4-shard dcqcn run diverged from the serial engine"
     );
-
-    ibsim::audit::force(false);
-    ibsim::backend::clear();
 }
 
 /// The dcqcn backend must actually exercise its new machinery on the

@@ -10,11 +10,10 @@
 //!   `Network` to `t`, restoring the cached prefix when one matches
 //!   (topology digest + caller key + instant), else simulating and
 //!   saving it for next time;
-//! * [`enable_harness`] — process-wide: arm the `ibsim::checkpoint`
-//!   toggles so every `run_scenario_*` call in the test binary saves at
-//!   its warmup end on the first-ever invocation and resumes from the
-//!   cache afterwards (checkpoint file names already encode fabric +
-//!   workload, so distinct tests never collide).
+//! * [`harness`] — runner-level: environment [`RunOptions`] that make a
+//!   runner save at its warmup end on the first-ever invocation and
+//!   resume from the cache afterwards (checkpoint file names already
+//!   encode fabric + workload, so distinct tests never collide).
 //!
 //! Round trips are byte-identical (pinned by `checkpoint_roundtrip.rs`),
 //! so cached runs produce exactly the numbers a cold run would — as
@@ -28,7 +27,6 @@ use ibsim::prelude::*;
 use ibsim_state::CheckpointHeader;
 use serde::Deserialize;
 use std::path::PathBuf;
-use std::sync::Once;
 
 pub fn warm_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -63,18 +61,14 @@ pub fn warm_until(net: &mut Network, key: &str, t: Time) {
     let _ = ibsim_state::save(&path, &header, &net.checkpoint());
 }
 
-static HARNESS: Once = Once::new();
-
-/// Arm the process-wide checkpoint toggles for this test binary: every
-/// `run_scenario_*` call saves its state at `warmup_us` into the shared
-/// cache and resumes from it when the file already exists. Call from
-/// each test that goes through the experiment runners; the underlying
-/// toggles are set once.
-pub fn enable_harness(warmup_us: u64) {
-    HARNESS.call_once(|| {
-        let dir = warm_dir();
-        ibsim::checkpoint::set_dir(&dir);
-        ibsim::checkpoint::force_resume(Some(dir));
-        ibsim::checkpoint::force_at(Some(Time::from_us(warmup_us)));
-    });
+/// Environment options that save each run's state at `warmup_us` into
+/// the shared cache and resume from it when the file already exists.
+/// Pass them to the runners of every test that warms up that long.
+pub fn harness(warmup_us: u64) -> RunOptions {
+    RunOptions {
+        checkpoint_at: Some(Time::from_us(warmup_us)),
+        checkpoint_dir: warm_dir(),
+        resume_from: Some(warm_dir()),
+        ..RunOptions::from_env().unwrap()
+    }
 }

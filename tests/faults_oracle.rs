@@ -2,12 +2,19 @@
 //! schedule degrades the fabric. Sanctioned BECN drops appear in the
 //! audit report as bookkeeping (and only as bookkeeping); any *other*
 //! ledger imbalance — here an injected credit leak — still fails the
-//! run. These tests share one binary because they force the
-//! process-wide audit switch on.
+//! run.
 
 use ibsim::prelude::*;
 use ibsim_check::LedgerKind;
 use ibsim_traffic::{RoleSpec, Scenario};
+
+/// A paper-config network with the oracle armed at the environment's
+/// cadence, as the runners arm one.
+fn audited_net(topo: &Topology) -> Network {
+    let mut net = Network::new(topo, NetConfig::paper());
+    net.enable_audit(RunOptions::from_env().unwrap().audit_every);
+    net
+}
 
 fn windy_roles(topo: &Topology) -> RoleSpec {
     RoleSpec {
@@ -24,7 +31,6 @@ fn windy_roles(topo: &Topology) -> RoleSpec {
 /// entries account for exactly the CNPs the schedule swallowed.
 #[test]
 fn windy_run_under_faults_audits_clean_except_sanctioned() {
-    ibsim::audit::force(true);
     let topo = FatTreeSpec::TEST_8.build();
     let schedule = FaultSchedule::from_spec(
         "becnloss:link=hcas,p=0.5;flap:link=hca:2,at=300us,dur=150us,factor=stall",
@@ -35,13 +41,19 @@ fn windy_run_under_faults_audits_clean_except_sanctioned() {
         warmup: TimeDelta::from_us(200),
         measure: TimeDelta::from_us(800),
     };
-    let (report, audit) = ibsim::run_drill(
+    let opts = RunOptions {
+        audit: true,
+        faults: Some(schedule),
+        ..RunOptions::from_env().unwrap()
+    };
+    let (report, audit) = run_drill_floor(
+        &opts,
         &topo,
         NetConfig::paper(),
         windy_roles(&topo),
         dur,
         TimeDelta::from_us(100),
-        &schedule,
+        None,
     );
     assert!(
         !audit.has_unsanctioned(),
@@ -79,7 +91,6 @@ fn windy_run_under_faults_audits_clean_except_sanctioned() {
 /// fault schedule runs.
 #[test]
 fn workload_ladder_audits_clean_on_fattree3() {
-    ibsim::audit::force(true);
     let topo = FatTree3Spec::QUICK_54.build();
     let fanin = 8;
     for spec in [
@@ -87,8 +98,7 @@ fn workload_ladder_audits_clean_on_fattree3() {
         format!("eb:frag=4096,fanin={fanin},shifts=4,slot_us=40"),
     ] {
         let spec = ibsim_traffic::WorkloadSpec::parse(&spec).unwrap();
-        let mut net = Network::new(&topo, NetConfig::paper());
-        ibsim::audit::arm(&mut net);
+        let mut net = audited_net(&topo);
         let wl = spec.install(&mut net).expect("workload install");
         assert!(wl.offered_bytes > 0);
         net.run_until(Time::from_us(400));
@@ -112,13 +122,12 @@ fn workload_ladder_audits_clean_on_fattree3() {
 /// vacuous.
 #[test]
 fn workload_audit_catches_a_silent_drop() {
-    ibsim::audit::force(true);
     let topo = FatTree3Spec::QUICK_54.build();
-    let spec =
-        ibsim_traffic::WorkloadSpec::parse("incast:dst=0,fanin=8,bytes=16384,msgs=8,stagger_ns=500")
-            .unwrap();
-    let mut net = Network::new(&topo, NetConfig::paper());
-    ibsim::audit::arm(&mut net);
+    let spec = ibsim_traffic::WorkloadSpec::parse(
+        "incast:dst=0,fanin=8,bytes=16384,msgs=8,stagger_ns=500",
+    )
+    .unwrap();
+    let mut net = audited_net(&topo);
     spec.install(&mut net).expect("workload install");
     net.run_until(Time::from_us(100));
     // Discard the head packet of the first occupied switch queue —
@@ -143,10 +152,8 @@ fn workload_audit_catches_a_silent_drop() {
 /// leak: sanctioned bookkeeping must not blunt the oracle.
 #[test]
 fn unsanctioned_leak_trips_the_oracle_despite_faults() {
-    ibsim::audit::force(true);
     let topo = FatTreeSpec::TEST_8.build();
-    let mut net = Network::new(&topo, NetConfig::paper());
-    ibsim::audit::arm(&mut net);
+    let mut net = audited_net(&topo);
     net.install_faults(
         FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", 11).expect("valid spec"),
     );
