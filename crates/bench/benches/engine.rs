@@ -2,7 +2,7 @@
 //! random streams — the per-event costs everything else multiplies.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use ibsim_engine::queue::EventQueue;
+use ibsim_engine::queue::CalendarQueue;
 use ibsim_engine::rng::Rng;
 use ibsim_engine::time::{Time, TimeDelta};
 
@@ -13,7 +13,7 @@ fn queue_benches(c: &mut Criterion) {
         g.bench_function(format!("churn_depth_{depth}"), |b| {
             // Steady-state: keep `depth` pending events, pop one,
             // schedule one — the hot pattern of a running simulation.
-            let mut q = EventQueue::new();
+            let mut q = CalendarQueue::new();
             let mut rng = Rng::new(7);
             for _ in 0..depth {
                 q.schedule(Time(rng.next_below(1_000_000)), 0u64);

@@ -8,7 +8,7 @@
 //! concepts** — just the three things every DES needs:
 //!
 //! * exact simulated [`time`] (picoseconds) and bandwidth arithmetic,
-//! * a deterministic future-event list ([`queue::EventQueue`]),
+//! * a deterministic future-event list ([`queue::CalendarQueue`]),
 //! * reproducible random streams ([`rng::Rng`]) and measurement
 //!   primitives ([`stats`]).
 //!
@@ -22,10 +22,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventQueue, QueueSnapshot};
+pub use queue::{CalendarQueue, QueueSnapshot, QueueStats};
 pub use rng::Rng;
-pub use stats::{
-    Histogram, HistogramState, RateMeter, RateMeterState, RunLap, RunMeter, Series,
-    TimeWeightedGauge,
-};
+pub use stats::{Histogram, HistogramState, RateMeter, RateMeterState, RunLap, RunMeter};
 pub use time::{rate_gbps, Bandwidth, Time, TimeDelta};

@@ -1,87 +1,46 @@
 //! The discrete-event queue.
 //!
-//! Two implementations of the same deterministic future-event list:
+//! [`CalendarQueue`] is a deterministic future-event list laid out as a
+//! calendar queue / timing wheel with chained buckets:
 //!
-//! - [`CalendarQueue`] (the default [`EventQueue`]): a flat bucketed
-//!   calendar queue / timing wheel. Events land in fixed-width time
-//!   buckets carved out of one contiguous slot array (a power-of-two
-//!   *stride* of slots per bucket), each bucket kept sorted so its
-//!   minimum pops from the end in O(1). Whatever does not fit its
-//!   bucket — far-future events (CCTI recovery timers live ~150 µs out
-//!   while data events churn at ns scale) and overflow from dense
-//!   buckets — waits in a single spill heap that competes with the
-//!   wheel at every pop, so exact order never depends on the wheel
-//!   geometry. The geometry itself (bucket width, count, stride)
-//!   retunes from the observed misfit rate and inter-event spacing
-//!   (amortized O(1) rebuilds), so the structure adapts to any
-//!   workload scale without tuning; in the worst case everything
-//!   spills and the queue degrades to the plain binary heap.
-//! - [`HeapQueue`]: the classic binary-heap queue, kept as the reference
-//!   implementation. A differential property test (tests/prop.rs) pins
-//!   the two to byte-identical pop streams; building with
-//!   `RUSTFLAGS="--cfg ibsim_heap_queue"` swaps it back in globally to
-//!   reproduce pre-calendar behaviour (the two must — and do — produce
-//!   identical simulation results).
+//! - Every pending event lives in one slab (a `Vec` plus a free list)
+//!   that grows to the pending high-water mark and no further.
+//! - A window of fixed-width time buckets ends at the *horizon*; each
+//!   bucket is a singly linked chain of slab indices, so a bucket never
+//!   fills and every event inside the horizon is bucketed, however many
+//!   share a timestamp.
+//! - Only events beyond the horizon (in practice the CCTI recovery
+//!   timers, ~150 µs out while data events churn at ns scale) wait in a
+//!   spill heap. As the clock advances the horizon slides with it and
+//!   spilled events move into their buckets, so the earliest occupied
+//!   bucket always holds the earliest event.
+//! - [`CalendarQueue::pop_batch_until`] finds that bucket through an
+//!   occupancy bitset and takes every event at its earliest timestamp in
+//!   one walk of the chain.
+//! - The geometry (bucket width and count) retunes from the live
+//!   population when too many inserts land beyond the horizon or when
+//!   walks pass over too many entries of later timestamps; [`QueueStats`]
+//!   counts that work.
 //!
-//! Both order events by `(time, sequence)`: the monotone sequence number
+//! Events pop in `(time, sequence)` order: the monotone sequence number
 //! makes simultaneous events pop in insertion order, which is what makes
 //! whole-simulation determinism possible — two runs with the same
 //! configuration schedule the same events in the same order and
-//! therefore pop them in the same order. Every structural parameter of
-//! the calendar (width, bucket count, stride, retune points) is derived
-//! from already-scheduled events only, so it never perturbs that order.
+//! therefore pop them in the same order. The geometry only decides where
+//! an event waits, never how events compare, and it is derived from
+//! already-scheduled events only, so it never perturbs that order.
 
 use crate::time::Time;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// The event-queue implementation the simulator runs on.
-#[cfg(not(ibsim_heap_queue))]
-pub type EventQueue<E> = CalendarQueue<E>;
-/// The event-queue implementation the simulator runs on.
-#[cfg(ibsim_heap_queue)]
-pub type EventQueue<E> = HeapQueue<E>;
-
-struct Entry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-#[inline]
-fn entry_before<E>(a: &Entry<E>, b: &Entry<E>) -> bool {
-    (a.at, a.seq) < (b.at, b.seq)
-}
 
 /// Everything needed to rebuild an identical queue at a later time or in
 /// another process: clock, counters, and the pending entries *with their
 /// original sequence numbers* (tie order among simultaneous events is
 /// part of the determinism contract and must survive a checkpoint).
 ///
-/// The snapshot is geometry-free: both [`CalendarQueue`] and
-/// [`HeapQueue`] produce and accept the same shape, so a checkpoint
-/// taken under one implementation restores under the other.
+/// The snapshot is geometry-free: a restored queue rebuilds its buckets
+/// fresh, and the pop stream does not depend on them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueueSnapshot<E> {
     pub now: Time,
@@ -93,72 +52,76 @@ pub struct QueueSnapshot<E> {
     pub entries: Vec<(Time, u64, E)>,
 }
 
-// ---------------------------------------------------------------------------
-// Calendar queue
-// ---------------------------------------------------------------------------
+/// Deterministic counts of the work a [`CalendarQueue`] did since it was
+/// built or [`reset`](CalendarQueue::reset): identical on every machine
+/// for the same event stream.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events scheduled.
+    pub inserts: u64,
+    /// Scheduled events that landed beyond the horizon, in the spill heap.
+    pub spilled: u64,
+    /// Geometry re-evaluations; each that changes the geometry
+    /// re-places every pending event.
+    pub retunes: u64,
+    /// Bucket entries walked by pops and batch pops.
+    pub scanned: u64,
+}
 
-/// Default bucket count (always a power of two so slot → bucket is a
-/// mask, and ≥ 64 for the occupancy bitset).
-const DEFAULT_BUCKETS: usize = 1024;
+/// End of a bucket chain or of the free list.
+const NIL: u32 = u32::MAX;
+/// Bucket count bounds (powers of two, so slot → bucket is a mask, and
+/// ≥ 64 for the occupancy bitset).
 const MIN_BUCKETS: usize = 1024;
 const MAX_BUCKETS: usize = 1 << 16;
 /// Default bucket width: 2^13 ps ≈ 8 ns, near the link/switch latency
 /// scale that dominates fabric simulations before any adaptation.
 const DEFAULT_WIDTH_SHIFT: u32 = 13;
-/// Slots per bucket (log2). Small buckets keep the common insert/pop
-/// touching one or two cache lines; dense tie-heavy loads retune to a
-/// larger stride instead of spilling everything.
-const MIN_STRIDE_SHIFT: u32 = 3;
-const MAX_STRIDE_SHIFT: u32 = 6;
-/// Hard cap on `buckets × stride` so a retune can never ask for an
-/// unbounded slot array.
-const MAX_SLOTS: u64 = 1 << 18;
 
-/// A deterministic future-event list (bucketed calendar queue).
+/// One slab slot: a pending event, or a free slot when `event` is `None`.
+struct Node<E> {
+    at: Time,
+    seq: u64,
+    /// Next slot in the same bucket chain, or in the free list.
+    next: u32,
+    event: Option<E>,
+}
+
+/// A deterministic future-event list (chained-bucket calendar queue).
 pub struct CalendarQueue<E> {
-    /// One contiguous array of `n_buckets << stride_shift` slots; bucket
-    /// `b` owns `slots[b << stride_shift ..][..lens[b]]`, unsorted —
-    /// inserts append in O(1), pops linear-scan the bucket for its
-    /// `(time, seq)` minimum (bounded by the stride, cache-dense, and
-    /// branch-predictable, which beats keeping the bucket sorted).
-    slots: Vec<Option<Entry<E>>>,
-    /// Per-bucket occupancy (physical index order).
-    lens: Vec<u16>,
-    mask: usize,
-    stride_shift: u32,
-    width_shift: u32,
-    /// Exclusive upper slot bound of the wheel window
-    /// `[hor_slot - n_buckets, hor_slot)`; slides forward with the clock.
-    hor_slot: u64,
-    /// Lower bound for the next occupied-bucket scan: no non-empty
-    /// bucket has a slot below this.
-    hint_slot: u64,
+    /// Every pending event; free slots are chained through `next`.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    /// Chain head per bucket (physical index order), `NIL` when empty.
+    heads: Vec<u32>,
     /// Occupancy bitset, one bit per bucket (physical index order).
     occupied: Vec<u64>,
-    /// Events currently sitting in wheel buckets (excludes spill).
+    mask: usize,
+    width_shift: u32,
+    /// Exclusive upper slot bound (the horizon) of the wheel window
+    /// `[hor_slot - n_buckets, hor_slot)`. The window starts at the
+    /// clock's slot, so no pending event lies below it.
+    hor_slot: u64,
+    /// Events currently in bucket chains (excludes spill).
     bucketed: usize,
-    /// Everything that did not fit its bucket — far-future events and
-    /// overflow from full buckets — ordered min-first. Competes with the
-    /// wheel at every pop, so placement never affects pop order.
-    spill: BinaryHeap<Entry<E>>,
+    /// Events at or beyond the horizon as `(time, seq, slab index)`,
+    /// earliest first. Every spilled slot is ≥ `hor_slot`, so no
+    /// bucketed event is ever later than a spilled one.
+    spill: BinaryHeap<Reverse<(Time, u64, u32)>>,
     inserts_since_retune: usize,
     misfits_since_retune: usize,
-    /// Inserts required before the next adaptation is considered.
+    taken_since_retune: usize,
+    scanned_since_retune: usize,
+    /// Inserts (or taken events) required before the next adaptation
+    /// is considered.
     cooldown: usize,
-    /// Reusable distance-sample buffer for [`Self::retune`], kept
-    /// across calls so steady-state retune checks stay allocation-free.
-    retune_scratch: Vec<u64>,
-    /// Reusable redistribution buffer for [`Self::retune`]: holds every
-    /// entry while the wheel geometry changes underneath it. Kept across
-    /// calls for the same reason as `retune_scratch` — once its capacity
-    /// reaches the population high-water mark, retunes stop allocating.
-    redist_scratch: Vec<Entry<E>>,
-    /// Count of sub-threshold decay steps since the last retune; a slow
-    /// drift check forces a retune every 16th one, so a persistent
-    /// low-rate misfit trickle (geometry mildly wrong, never wrong
-    /// enough to trip the 25 % threshold) still converges to the right
-    /// shape eventually.
-    halvings: u32,
+    /// Since the last retune: inserts by distance from now, bin `k`
+    /// counting distances in `[2^(k-1), 2^k)` (bin 0: distance 0).
+    insert_dists: [u64; 65],
+    /// Since the last retune: clock advances by `ilog2` of the step,
+    /// i.e. the gaps between consecutive distinct pop timestamps.
+    pop_gaps: [u64; 64],
+    stats: QueueStats,
     seq: u64,
     now: Time,
     processed: u64,
@@ -176,7 +139,7 @@ impl<E> Default for CalendarQueue<E> {
 
 impl<E> CalendarQueue<E> {
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_BUCKETS, DEFAULT_WIDTH_SHIFT, MIN_STRIDE_SHIFT)
+        Self::with_shape(MIN_BUCKETS, DEFAULT_WIDTH_SHIFT)
     }
 
     /// Pre-size for roughly `pending_hint` simultaneously pending events
@@ -187,30 +150,29 @@ impl<E> CalendarQueue<E> {
         let n = (pending_hint.max(1) * 2)
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        Self::with_shape(n, DEFAULT_WIDTH_SHIFT, MIN_STRIDE_SHIFT)
+        Self::with_shape(n, DEFAULT_WIDTH_SHIFT)
     }
 
-    fn with_shape(n_buckets: usize, width_shift: u32, stride_shift: u32) -> Self {
+    fn with_shape(n_buckets: usize, width_shift: u32) -> Self {
         debug_assert!(n_buckets.is_power_of_two() && n_buckets >= 64);
-        let mut slots = Vec::new();
-        slots.resize_with(n_buckets << stride_shift, || None);
         CalendarQueue {
-            slots,
-            lens: vec![0u16; n_buckets],
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; n_buckets],
+            occupied: vec![0u64; n_buckets / 64],
             mask: n_buckets - 1,
-            stride_shift,
             width_shift,
             hor_slot: n_buckets as u64,
-            hint_slot: 0,
-            occupied: vec![0u64; n_buckets / 64],
             bucketed: 0,
             spill: BinaryHeap::new(),
             inserts_since_retune: 0,
             misfits_since_retune: 0,
+            taken_since_retune: 0,
+            scanned_since_retune: 0,
             cooldown: 256,
-            retune_scratch: Vec::new(),
-            redist_scratch: Vec::new(),
-            halvings: 0,
+            insert_dists: [0; 65],
+            pop_gaps: [0; 64],
+            stats: QueueStats::default(),
             seq: 0,
             now: Time::ZERO,
             processed: 0,
@@ -225,8 +187,7 @@ impl<E> CalendarQueue<E> {
     }
 
     /// `(time, seq)` key of the most recently popped event, if any.
-    /// Consecutive pops are strictly increasing in this key — the
-    /// determinism contract both queue implementations share.
+    /// Consecutive pops are strictly increasing in this key.
     #[inline]
     pub fn last_pop(&self) -> Option<(Time, u64)> {
         self.last_pop
@@ -248,19 +209,24 @@ impl<E> CalendarQueue<E> {
         self.pending() == 0
     }
 
+    /// Work counters since construction or the last [`Self::reset`].
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+
+    #[inline]
+    fn n_buckets(&self) -> u64 {
+        self.mask as u64 + 1
+    }
+
     #[inline]
     fn base_slot(&self) -> u64 {
-        self.hor_slot - (self.mask as u64 + 1)
+        self.hor_slot - self.n_buckets()
     }
 
     #[inline]
-    fn mark(&mut self, phys: usize) {
-        self.occupied[phys >> 6] |= 1u64 << (phys & 63);
-    }
-
-    #[inline]
-    fn unmark(&mut self, phys: usize) {
-        self.occupied[phys >> 6] &= !(1u64 << (phys & 63));
+    fn phys(&self, slot: u64) -> usize {
+        (slot & self.mask as u64) as usize
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -277,7 +243,7 @@ impl<E> CalendarQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.insert(Entry { at, seq, event });
+        self.insert(at, seq, event);
     }
 
     /// Schedule `event` at absolute time `at` under a caller-chosen
@@ -297,295 +263,7 @@ impl<E> CalendarQueue<E> {
         if seq >= self.seq {
             self.seq = seq + 1;
         }
-        self.insert(Entry { at, seq, event });
-    }
-
-    fn insert(&mut self, e: Entry<E>) {
-        self.inserts_since_retune += 1;
-        if let Some(e) = self.try_bucket(e) {
-            // No room in the wheel for this event: it waits in the
-            // spill heap and competes at pop time, so nothing is ever
-            // mis-ordered — just slower. A high misfit rate is the
-            // signal that the geometry no longer matches the workload.
-            self.spill.push(e);
-            self.misfits_since_retune += 1;
-            if self.inserts_since_retune >= self.cooldown {
-                if self.misfits_since_retune * 4 > self.inserts_since_retune {
-                    self.retune();
-                } else {
-                    // Below the retune threshold: decay both counters so
-                    // the test tracks the recent misfit rate instead of
-                    // averaging over the whole history (a workload shift
-                    // must show up within ~one cooldown window).
-                    self.inserts_since_retune /= 2;
-                    self.misfits_since_retune /= 2;
-                    self.halvings += 1;
-                    if self.halvings >= 16 {
-                        self.retune();
-                    }
-                }
-            }
-        }
-    }
-
-    /// Place `e` into its wheel bucket, or hand it back if it lies
-    /// beyond the window or its bucket is full.
-    #[inline]
-    fn try_bucket(&mut self, e: Entry<E>) -> Option<Entry<E>> {
-        let slot = e.at.0 >> self.width_shift;
-        if slot >= self.hor_slot {
-            return Some(e);
-        }
-        // Events behind the window base (only reachable if a caller
-        // schedules into the past with debug assertions off) are clamped
-        // into the base bucket; the sorted bucket still pops them in
-        // exact (time, seq) order, and the base bucket is scanned first.
-        let slot = slot.max(self.base_slot());
-        let phys = (slot & self.mask as u64) as usize;
-        let len = self.lens[phys] as usize;
-        if len == 1usize << self.stride_shift {
-            return Some(e);
-        }
-        let base = phys << self.stride_shift;
-        self.slots[base + len] = Some(e);
-        self.lens[phys] = (len + 1) as u16;
-        self.mark(phys);
-        self.bucketed += 1;
-        if slot < self.hint_slot {
-            self.hint_slot = slot;
-        }
-        None
-    }
-
-    /// Recompute bucket width/count/stride from the live event
-    /// population and redistribute everything. Order is unaffected:
-    /// structure only changes *where* entries wait, never how they
-    /// compare.
-    fn retune(&mut self) {
-        self.inserts_since_retune = 0;
-        self.misfits_since_retune = 0;
-        self.halvings = 0;
-        let total = self.pending();
-        if total == 0 {
-            return;
-        }
-        // Span estimate from an unbiased decimated sample of the whole
-        // population (wheel and spill together — sampling either side
-        // first would hide whichever band the geometry failed). The
-        // 25th-percentile distance-from-now × 4 locks the width onto
-        // the densest near-future band of a bimodal population (data
-        // churn vs far-out recovery timers) and reduces to the plain
-        // span estimate when the population is unimodal.
-        let step = (total / 4096).max(1);
-        let mut dists = std::mem::take(&mut self.retune_scratch);
-        dists.clear();
-        let mut c = 0usize;
-        for e in self.spill.iter() {
-            if c.is_multiple_of(step) {
-                dists.push(e.at.0.saturating_sub(self.now.0));
-            }
-            c += 1;
-        }
-        for (phys, &l) in self.lens.iter().enumerate() {
-            let base = phys << self.stride_shift;
-            for k in 0..l as usize {
-                if c.is_multiple_of(step) {
-                    let at = self.slots[base + k].as_ref().expect("occupied slot").at;
-                    dists.push(at.0.saturating_sub(self.now.0));
-                }
-                c += 1;
-            }
-        }
-        let i25 = (dists.len() / 4).min(dists.len() - 1);
-        let (_, &mut d25, _) = dists.select_nth_unstable(i25);
-        let spread = (d25 * 4).max(1);
-        self.retune_scratch = dists;
-
-        // Width target: ~1 event per slot across the near-future bulk;
-        // when events are denser than one per picosecond the width
-        // bottoms out and the stride grows to hold the pile-ups inline.
-        let per_event = spread / total as u64;
-        let width_shift = if per_event >= 2 {
-            per_event.next_power_of_two().trailing_zeros()
-        } else {
-            0
-        };
-        let slots_needed = (spread >> width_shift).max(1);
-        let per_bucket4 = ((total as u64 * 4) / slots_needed).max(1);
-        let stride_shift = per_bucket4
-            .next_power_of_two()
-            .trailing_zeros()
-            .clamp(MIN_STRIDE_SHIFT, MAX_STRIDE_SHIFT);
-        let max_n = ((MAX_SLOTS >> stride_shift) as usize).max(MIN_BUCKETS);
-        let n = slots_needed
-            .saturating_mul(2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS as u64, MAX_BUCKETS as u64) as usize;
-        let n = n.min(max_n);
-
-        // A retune that cannot change the geometry (e.g. a pile of
-        // simultaneous events already at minimum width and maximum
-        // stride) gets a long cooldown so pathological loads degrade to
-        // the spill heap instead of thrashing on O(n) redistributions.
-        if width_shift == self.width_shift
-            && stride_shift == self.stride_shift
-            && n == self.mask + 1
-        {
-            self.cooldown = (total * 8).max(4096);
-            return;
-        }
-        self.cooldown = total.max(256);
-
-        // Drain into the reusable buffer; `spill.drain()` keeps the
-        // heap's allocation alive (unlike take + into_vec, which would
-        // force it to regrow from nothing afterwards).
-        let mut all = std::mem::take(&mut self.redist_scratch);
-        all.clear();
-        all.reserve(total);
-        for phys in 0..self.lens.len() {
-            let base = phys << self.stride_shift;
-            for k in 0..self.lens[phys] as usize {
-                all.push(self.slots[base + k].take().expect("occupied slot"));
-            }
-        }
-        all.extend(self.spill.drain());
-
-        self.width_shift = width_shift;
-        self.stride_shift = stride_shift;
-        self.mask = n - 1;
-        self.slots.clear();
-        self.slots.resize_with(n << stride_shift, || None);
-        self.lens.clear();
-        self.lens.resize(n, 0);
-        self.occupied.clear();
-        self.occupied.resize(n / 64, 0);
-        self.bucketed = 0;
-        let now_slot = self.now.0 >> width_shift;
-        self.hor_slot = now_slot + n as u64;
-        self.hint_slot = now_slot;
-        for e in all.drain(..) {
-            if let Some(e) = self.try_bucket(e) {
-                self.spill.push(e);
-            }
-        }
-        self.redist_scratch = all;
-    }
-
-    /// Index of the bucket's `(time, seq)`-minimum entry within
-    /// `slots` (buckets are unsorted; the scan is stride-bounded).
-    #[inline]
-    fn bucket_min(&self, phys: usize) -> usize {
-        let base = phys << self.stride_shift;
-        let len = self.lens[phys] as usize;
-        debug_assert!(len > 0);
-        let mut mi = base;
-        for i in base + 1..base + len {
-            let (a, b) = (
-                self.slots[i].as_ref().expect("occupied slot"),
-                self.slots[mi].as_ref().expect("occupied slot"),
-            );
-            if entry_before(a, b) {
-                mi = i;
-            }
-        }
-        mi
-    }
-
-    /// First occupied slot in `[from, hor_slot)`, in slot order.
-    fn next_occupied(&self, from: u64) -> Option<u64> {
-        let end = self.hor_slot;
-        let mut s = from.max(self.base_slot());
-        while s < end {
-            let phys = (s & self.mask as u64) as usize;
-            let bit = phys & 63;
-            let word = self.occupied[phys >> 6] & (!0u64 << bit);
-            if word != 0 {
-                let found = s + (word.trailing_zeros() as u64 - bit as u64);
-                return (found < end).then_some(found);
-            }
-            s += 64 - bit as u64;
-        }
-        None
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        let bucket_at = if self.bucketed > 0 {
-            let slot = self
-                .next_occupied(self.hint_slot)
-                .expect("bucketed > 0 implies an occupied bucket");
-            let phys = (slot & self.mask as u64) as usize;
-            let idx = self.bucket_min(phys);
-            Some(self.slots[idx].as_ref().expect("occupied slot").at)
-        } else {
-            None
-        };
-        match (bucket_at, self.spill.peek().map(|e| e.at)) {
-            (Some(b), Some(s)) => Some(b.min(s)),
-            (b, s) => b.or(s),
-        }
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = if self.bucketed == 0 {
-            self.spill.pop()?
-        } else {
-            let slot = self
-                .next_occupied(self.hint_slot)
-                .expect("non-empty wheel has an occupied bucket");
-            self.hint_slot = slot;
-            let phys = (slot & self.mask as u64) as usize;
-            let len = self.lens[phys] as usize;
-            // The bucket minimum competes with the spill top, so wheel
-            // geometry never affects pop order.
-            let idx = self.bucket_min(phys);
-            let take_spill = match self.spill.peek() {
-                Some(s) => {
-                    let b = self.slots[idx].as_ref().expect("occupied slot");
-                    entry_before(s, b)
-                }
-                None => false,
-            };
-            if take_spill {
-                self.spill.pop().expect("peeked entry")
-            } else {
-                let e = self.slots[idx].take().expect("occupied slot");
-                let last = (phys << self.stride_shift) + len - 1;
-                if idx != last {
-                    self.slots[idx] = self.slots[last].take();
-                }
-                self.lens[phys] = (len - 1) as u16;
-                if len == 1 {
-                    self.unmark(phys);
-                }
-                self.bucketed -= 1;
-                e
-            }
-        };
-        debug_assert!(e.at >= self.now, "time went backwards");
-        debug_assert!(
-            self.last_pop.is_none_or(|k| (e.at, e.seq) > k),
-            "pop order regressed: ({:?}, {}) after {:?}",
-            e.at,
-            e.seq,
-            self.last_pop
-        );
-        self.now = e.at;
-        self.last_pop = Some((e.at, e.seq));
-        self.processed += 1;
-        // Slide the window forward with the clock: buckets falling off
-        // the back are provably empty (every remaining event's time is
-        // ≥ now, so its slot is ≥ the new base), and the freed room
-        // lets near-future schedules stay bucketed instead of detouring
-        // through the spill heap. No events move — O(1).
-        let min_hor = (self.now.0 >> self.width_shift) + self.mask as u64 + 1;
-        if min_hor > self.hor_slot {
-            self.hor_slot = min_hor;
-        }
-        Some((e.at, e.event))
+        self.insert(at, seq, event);
     }
 
     /// Schedule `event` `delta` after now.
@@ -593,6 +271,271 @@ impl<E> CalendarQueue<E> {
     pub fn schedule_in(&mut self, delta: crate::time::TimeDelta, event: E) {
         let at = self.now + delta;
         self.schedule(at, event);
+    }
+
+    fn insert(&mut self, at: Time, seq: u64, event: E) {
+        self.stats.inserts += 1;
+        self.inserts_since_retune += 1;
+        let dist = at.0.saturating_sub(self.now.0);
+        self.insert_dists[(u64::BITS - dist.leading_zeros()) as usize] += 1;
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let idx = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        if self.place(idx) {
+            return;
+        }
+        // Beyond the horizon: it waits in the spill heap until the
+        // window reaches it. A high misfit rate means the window is too
+        // short for the workload.
+        self.stats.spilled += 1;
+        self.misfits_since_retune += 1;
+        if self.inserts_since_retune >= self.cooldown {
+            if self.misfits_since_retune * 4 > self.inserts_since_retune {
+                self.retune();
+            } else {
+                // Decay both counters so the test tracks the recent
+                // misfit rate instead of the whole history.
+                self.inserts_since_retune /= 2;
+                self.misfits_since_retune /= 2;
+            }
+        }
+    }
+
+    /// Link slab slot `idx` into its bucket, or push it onto the spill
+    /// heap (returning `false`) if it lies beyond the horizon.
+    #[inline]
+    fn place(&mut self, idx: u32) -> bool {
+        let (at, seq) = {
+            let n = &self.nodes[idx as usize];
+            (n.at, n.seq)
+        };
+        let slot = at.0 >> self.width_shift;
+        if slot >= self.hor_slot {
+            self.spill.push(Reverse((at, seq, idx)));
+            return false;
+        }
+        // Events behind the window base (only reachable if a caller
+        // schedules into the past with debug assertions off) join the
+        // base bucket, which is walked first.
+        let slot = slot.max(self.base_slot());
+        let phys = self.phys(slot);
+        self.nodes[idx as usize].next = self.heads[phys];
+        self.heads[phys] = idx;
+        self.occupied[phys >> 6] |= 1u64 << (phys & 63);
+        self.bucketed += 1;
+        true
+    }
+
+    /// Return slab slot `idx` to the free list, handing back its event.
+    #[inline]
+    fn release(&mut self, idx: u32) -> E {
+        let n = &mut self.nodes[idx as usize];
+        n.next = self.free;
+        self.free = idx;
+        n.event.take().expect("live slab slot")
+    }
+
+    /// Move the clock to `t` and slide the window with it. Buckets
+    /// falling off the back are provably empty (every pending event is
+    /// ≥ `t`), and spilled events the new horizon reaches move into
+    /// their buckets.
+    #[inline]
+    fn advance(&mut self, t: Time) {
+        debug_assert!(t >= self.now, "time went backwards");
+        if t > self.now {
+            self.pop_gaps[(t.0 - self.now.0).ilog2() as usize] += 1;
+        }
+        self.now = t;
+        let hor = (t.0 >> self.width_shift).saturating_add(self.n_buckets());
+        if hor > self.hor_slot {
+            self.hor_slot = hor;
+            self.unspill();
+        }
+    }
+
+    /// Bucket every spilled event the horizon now covers.
+    fn unspill(&mut self) {
+        while let Some(&Reverse((at, _, idx))) = self.spill.peek() {
+            if at.0 >> self.width_shift >= self.hor_slot {
+                break;
+            }
+            self.spill.pop();
+            self.place(idx);
+        }
+    }
+
+    /// Make sure the wheel holds the earliest pending event: when only
+    /// spilled events remain, jump the window to the earliest of them.
+    /// Returns `false` if nothing is pending or the earliest event is
+    /// later than `limit` (then nothing changes).
+    #[inline]
+    fn fill_wheel(&mut self, limit: Time) -> bool {
+        if self.bucketed > 0 {
+            return true;
+        }
+        let Some(&Reverse((at, _, _))) = self.spill.peek() else {
+            return false;
+        };
+        if at > limit {
+            return false;
+        }
+        self.hor_slot = (at.0 >> self.width_shift).saturating_add(self.n_buckets());
+        self.unspill();
+        true
+    }
+
+    /// First occupied slot of the window. Requires `bucketed > 0`.
+    fn first_occupied(&self) -> u64 {
+        let mut s = self.base_slot();
+        loop {
+            debug_assert!(s < self.hor_slot, "bucketed > 0 implies an occupied bucket");
+            let phys = self.phys(s);
+            let bit = phys & 63;
+            let word = self.occupied[phys >> 6] & (!0u64 << bit);
+            if word != 0 {
+                return s + (word.trailing_zeros() as u64 - bit as u64);
+            }
+            s += 64 - bit as u64;
+        }
+    }
+
+    /// Account one bucket walk and retune if walks keep passing over
+    /// entries of later timestamps (buckets too wide).
+    #[inline]
+    fn note_walk(&mut self, walked: usize, taken: usize) {
+        self.stats.scanned += walked as u64;
+        self.scanned_since_retune += walked;
+        self.taken_since_retune += taken;
+        if self.taken_since_retune >= self.cooldown {
+            if self.scanned_since_retune > 2 * self.taken_since_retune {
+                self.retune();
+            } else {
+                self.taken_since_retune /= 2;
+                self.scanned_since_retune /= 2;
+            }
+        }
+    }
+
+    /// Recompute bucket width and count from what the queue saw since
+    /// the last retune, and re-place every event if they change. Order
+    /// is unaffected: structure only changes *where* entries wait, never
+    /// how they compare.
+    fn retune(&mut self) {
+        self.stats.retunes += 1;
+        self.inserts_since_retune = 0;
+        self.misfits_since_retune = 0;
+        self.taken_since_retune = 0;
+        self.scanned_since_retune = 0;
+        // Width: at most the 25th-percentile gap between consecutive
+        // pop timestamps, so a walk seldom meets a later timestamp in
+        // its bucket. Window: twice the 99th-percentile insert distance,
+        // so only outliers (recovery timers) spill.
+        let width_shift = quantile_bin(&self.pop_gaps, 1, 4).map_or(self.width_shift, |b| b as u32);
+        let far_bin = quantile_bin(&self.insert_dists, 99, 100).unwrap_or(0);
+        self.pop_gaps = [0; 64];
+        self.insert_dists = [0; 65];
+        let n = ((1u64 << far_bin.min(62)) >> width_shift)
+            .saturating_mul(2)
+            .next_power_of_two()
+            .clamp(MIN_BUCKETS as u64, MAX_BUCKETS as u64) as usize;
+        let total = self.pending();
+
+        // A retune that cannot change the geometry (e.g. ties no width
+        // can split, or outliers no window may cover) waits longer
+        // before the next one.
+        if width_shift == self.width_shift && n == self.mask + 1 {
+            self.cooldown = (total * 8).max(4096);
+            return;
+        }
+        self.cooldown = total.max(256);
+
+        self.width_shift = width_shift;
+        self.mask = n - 1;
+        self.heads.clear();
+        self.heads.resize(n, NIL);
+        self.occupied.clear();
+        self.occupied.resize(n / 64, 0);
+        self.bucketed = 0;
+        self.spill.clear();
+        self.hor_slot = (self.now.0 >> width_shift).saturating_add(n as u64);
+        for idx in 0..self.nodes.len() {
+            if self.nodes[idx].event.is_some() {
+                self.place(idx as u32);
+            }
+        }
+    }
+
+    /// Timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<Time> {
+        if self.bucketed == 0 {
+            return self.spill.peek().map(|r| r.0 .0);
+        }
+        let mut i = self.heads[self.phys(self.first_occupied())];
+        let mut t = Time::MAX;
+        while i != NIL {
+            let n = &self.nodes[i as usize];
+            t = t.min(n.at);
+            i = n.next;
+        }
+        Some(t)
+    }
+
+    /// Pop the next event, advancing the clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(Time, E)> {
+        if !self.fill_wheel(Time::MAX) {
+            return None;
+        }
+        let phys = self.phys(self.first_occupied());
+        // Walk the chain for its (time, seq) minimum, remembering the
+        // link that points at it.
+        let (mut prev, mut i) = (NIL, self.heads[phys]);
+        let (mut best_prev, mut best) = (NIL, i);
+        let mut walked = 0;
+        while i != NIL {
+            walked += 1;
+            let (n, b) = (&self.nodes[i as usize], &self.nodes[best as usize]);
+            if (n.at, n.seq) < (b.at, b.seq) {
+                (best_prev, best) = (prev, i);
+            }
+            prev = i;
+            i = n.next;
+        }
+        let (at, seq, next) = {
+            let n = &self.nodes[best as usize];
+            (n.at, n.seq, n.next)
+        };
+        if best_prev == NIL {
+            self.heads[phys] = next;
+            if next == NIL {
+                self.occupied[phys >> 6] &= !(1u64 << (phys & 63));
+            }
+        } else {
+            self.nodes[best_prev as usize].next = next;
+        }
+        self.bucketed -= 1;
+        let event = self.release(best);
+        debug_assert!(
+            self.last_pop.is_none_or(|k| (at, seq) > k),
+            "pop order regressed: ({at:?}, {seq}) after {:?}",
+            self.last_pop
+        );
+        self.last_pop = Some((at, seq));
+        self.processed += 1;
+        self.advance(at);
+        self.note_walk(walked, 1);
+        Some((at, event))
     }
 
     /// Pop the next event only if it is due at or before `limit`.
@@ -609,9 +552,8 @@ impl<E> CalendarQueue<E> {
     /// (if `t ≤ limit`) into `out` in `(time, seq)` order, advancing the
     /// clock to `t`. Returns `t`, or `None` if nothing is due.
     ///
-    /// All same-`t` wheel entries share one bucket, so the whole batch
-    /// comes out of a single bucket scan plus a spill drain — one
-    /// occupied-slot search per *timestamp* instead of per event.
+    /// The earliest occupied bucket holds every event at `t`, so one
+    /// walk of its chain both finds `t` and unlinks the batch.
     ///
     /// Unlike [`pop`](Self::pop) this does **not** advance `processed`
     /// or `last_pop`: the caller dispatches the batch one event at a
@@ -620,58 +562,67 @@ impl<E> CalendarQueue<E> {
     /// per-event observable (audit cadence, event-order ledger)
     /// byte-identical to the one-pop-per-event loop.
     pub fn pop_batch_until(&mut self, limit: Time, out: &mut Vec<(u64, E)>) -> Option<Time> {
-        let t = self.peek_time()?;
-        if t > limit {
+        if !self.fill_wheel(limit) {
             return None;
         }
-        let start = out.len();
-        if self.bucketed > 0 {
-            let slot = (t.0 >> self.width_shift).max(self.base_slot());
-            if slot < self.hor_slot {
-                let phys = (slot & self.mask as u64) as usize;
-                let base = phys << self.stride_shift;
-                let orig = self.lens[phys] as usize;
-                let mut len = orig;
-                let mut i = base;
-                // Swap-remove every at-t entry; the swapped-in tail
-                // entry is re-examined before the cursor advances.
-                while i < base + len {
-                    if self.slots[i].as_ref().expect("occupied slot").at == t {
-                        let e = self.slots[i].take().expect("occupied slot");
-                        let last = base + len - 1;
-                        if i != last {
-                            self.slots[i] = self.slots[last].take();
-                        }
-                        len -= 1;
-                        out.push((e.seq, e.event));
-                    } else {
-                        i += 1;
-                    }
+        let slot = self.first_occupied();
+        if slot << self.width_shift > limit.0 {
+            return None;
+        }
+        let phys = self.phys(slot);
+        // One walk partitions the chain into `take` (the entries at the
+        // earliest time seen so far) and `keep` (the rest); a new
+        // earliest time demotes the whole `take` list to `keep` in O(1).
+        let (mut keep, mut take, mut take_tail) = (NIL, NIL, NIL);
+        let mut t = Time::MAX;
+        let mut walked = 0;
+        let mut i = self.heads[phys];
+        while i != NIL {
+            walked += 1;
+            let n = &mut self.nodes[i as usize];
+            let (at, next) = (n.at, n.next);
+            if at == t {
+                n.next = take;
+                take = i;
+            } else if at < t {
+                n.next = NIL;
+                if take != NIL {
+                    self.nodes[take_tail as usize].next = keep;
+                    keep = take;
                 }
-                self.bucketed -= orig - len;
-                self.lens[phys] = len as u16;
-                if len == 0 && orig > 0 {
-                    self.unmark(phys);
-                }
-                // Everything below t's slot is already drained.
-                if slot > self.hint_slot {
-                    self.hint_slot = slot;
-                }
+                (t, take, take_tail) = (at, i, i);
+            } else {
+                n.next = keep;
+                keep = i;
             }
+            i = next;
         }
-        while self.spill.peek().is_some_and(|e| e.at == t) {
-            let e = self.spill.pop().expect("peeked entry");
-            out.push((e.seq, e.event));
+        if t > limit {
+            self.nodes[take_tail as usize].next = keep;
+            self.heads[phys] = take;
+            self.note_walk(walked, 0);
+            return None;
         }
-        debug_assert!(out.len() > start, "peeked timestamp yielded no events");
-        // Bucket order is arbitrary; restore the (time, seq) contract.
+        self.heads[phys] = keep;
+        if keep == NIL {
+            self.occupied[phys >> 6] &= !(1u64 << (phys & 63));
+        }
+        let start = out.len();
+        let mut i = take;
+        while i != NIL {
+            let (seq, next) = {
+                let n = &self.nodes[i as usize];
+                (n.seq, n.next)
+            };
+            out.push((seq, self.release(i)));
+            i = next;
+        }
+        let taken = out.len() - start;
+        self.bucketed -= taken;
+        // Chain order is arbitrary; restore the (time, seq) contract.
         out[start..].sort_unstable_by_key(|&(seq, _)| seq);
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        let min_hor = (t.0 >> self.width_shift) + self.mask as u64 + 1;
-        if min_hor > self.hor_slot {
-            self.hor_slot = min_hor;
-        }
+        self.advance(t);
+        self.note_walk(walked, taken);
         Some(t)
     }
 
@@ -695,17 +646,11 @@ impl<E> CalendarQueue<E> {
     where
         E: Clone,
     {
-        let mut entries: Vec<(Time, u64, E)> = Vec::with_capacity(self.pending());
-        for phys in 0..self.lens.len() {
-            let base = phys << self.stride_shift;
-            for k in 0..self.lens[phys] as usize {
-                let e = self.slots[base + k].as_ref().expect("occupied slot");
-                entries.push((e.at, e.seq, e.event.clone()));
-            }
-        }
-        for e in self.spill.iter() {
-            entries.push((e.at, e.seq, e.event.clone()));
-        }
+        let mut entries: Vec<(Time, u64, E)> = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.event.as_ref().map(|e| (n.at, n.seq, e.clone())))
+            .collect();
         entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         QueueSnapshot {
             now: self.now,
@@ -725,241 +670,33 @@ impl<E> CalendarQueue<E> {
         q.seq = snap.seq;
         q.processed = snap.processed;
         q.last_pop = snap.last_pop;
-        let now_slot = snap.now.0 >> q.width_shift;
-        q.hor_slot = now_slot + q.mask as u64 + 1;
-        q.hint_slot = now_slot;
+        q.hor_slot = (snap.now.0 >> q.width_shift).saturating_add(q.n_buckets());
         for (at, seq, event) in snap.entries {
-            q.insert(Entry { at, seq, event });
+            q.insert(at, seq, event);
         }
         q
     }
 
-    /// Drop all pending events and reset the clock (for reuse in sweeps).
+    /// Drop all pending events, reset the clock and the work counters
+    /// (for reuse in sweeps). The bucket geometry is kept.
     pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-        self.lens.fill(0);
-        self.occupied.fill(0);
-        self.spill.clear();
-        self.bucketed = 0;
-        self.hor_slot = self.mask as u64 + 1;
-        self.hint_slot = 0;
-        self.halvings = 0;
-        self.inserts_since_retune = 0;
-        self.misfits_since_retune = 0;
-        self.cooldown = 256;
-        self.seq = 0;
-        self.now = Time::ZERO;
-        self.processed = 0;
-        self.last_pop = None;
+        *self = Self::with_shape(self.mask + 1, self.width_shift);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Reference binary-heap queue
-// ---------------------------------------------------------------------------
-
-/// The classic binary-heap future-event list; reference implementation
-/// for the calendar queue's determinism contract.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    now: Time,
-    processed: u64,
-    /// `(time, seq)` of the last popped event (see [`CalendarQueue::last_pop`]).
-    last_pop: Option<(Time, u64)>,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
+/// Index of the histogram bin holding the `num/den` quantile of its
+/// counts, or `None` for an empty histogram.
+fn quantile_bin(hist: &[u64], num: u64, den: u64) -> Option<usize> {
+    let total: u64 = hist.iter().sum();
+    if total == 0 {
+        return None;
     }
-}
-
-impl<E> HeapQueue<E> {
-    pub fn new() -> Self {
-        Self::with_capacity(1024)
-    }
-
-    /// Pre-size for roughly `pending_hint` simultaneously pending events.
-    pub fn with_capacity(pending_hint: usize) -> Self {
-        HeapQueue {
-            heap: BinaryHeap::with_capacity(pending_hint.max(1)),
-            seq: 0,
-            now: Time::ZERO,
-            processed: 0,
-            last_pop: None,
-        }
-    }
-
-    /// Current simulation time: the timestamp of the last popped event.
-    #[inline]
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// `(time, seq)` key of the most recently popped event, if any.
-    #[inline]
-    pub fn last_pop(&self) -> Option<(Time, u64)> {
-        self.last_pop
-    }
-
-    /// Number of events popped so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedule `event` at absolute time `at` (see [`CalendarQueue::schedule`]).
-    #[inline]
-    pub fn schedule(&mut self, at: Time, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Schedule under a caller-chosen sequence key (see
-    /// [`CalendarQueue::schedule_keyed`]).
-    #[inline]
-    pub fn schedule_keyed(&mut self, at: Time, seq: u64, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        if seq >= self.seq {
-            self.seq = seq + 1;
-        }
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Schedule `event` `delta` after now.
-    #[inline]
-    pub fn schedule_in(&mut self, delta: crate::time::TimeDelta, event: E) {
-        let at = self.now + delta;
-        self.schedule(at, event);
-    }
-
-    /// Timestamp of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        let e = self.heap.pop()?;
-        debug_assert!(e.at >= self.now, "time went backwards");
-        debug_assert!(
-            self.last_pop.is_none_or(|k| (e.at, e.seq) > k),
-            "pop order regressed: ({:?}, {}) after {:?}",
-            e.at,
-            e.seq,
-            self.last_pop
-        );
-        self.now = e.at;
-        self.last_pop = Some((e.at, e.seq));
-        self.processed += 1;
-        Some((e.at, e.event))
-    }
-
-    /// Pop the next event only if it is due at or before `limit`.
-    #[inline]
-    pub fn pop_until(&mut self, limit: Time) -> Option<(Time, E)> {
-        match self.peek_time() {
-            Some(t) if t <= limit => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Drain every event due at the earliest pending timestamp into
-    /// `out` (see [`CalendarQueue::pop_batch_until`]).
-    pub fn pop_batch_until(&mut self, limit: Time, out: &mut Vec<(u64, E)>) -> Option<Time> {
-        let t = self.peek_time()?;
-        if t > limit {
-            return None;
-        }
-        // Heap pops for a tied timestamp already come out seq-ascending.
-        while self.heap.peek().is_some_and(|e| e.at == t) {
-            let e = self.heap.pop().expect("peeked entry");
-            out.push((e.seq, e.event));
-        }
-        debug_assert!(t >= self.now, "time went backwards");
-        self.now = t;
-        Some(t)
-    }
-
-    /// Record one dispatched batch event (see
-    /// [`CalendarQueue::note_dispatched`]).
-    #[inline]
-    pub fn note_dispatched(&mut self, at: Time, seq: u64) {
-        debug_assert!(
-            self.last_pop.is_none_or(|k| (at, seq) > k),
-            "dispatch order regressed: ({at:?}, {seq}) after {:?}",
-            self.last_pop
-        );
-        self.last_pop = Some((at, seq));
-        self.processed += 1;
-    }
-
-    /// Capture the queue's complete state (see [`QueueSnapshot`]).
-    pub fn snapshot(&self) -> QueueSnapshot<E>
-    where
-        E: Clone,
-    {
-        let mut entries: Vec<(Time, u64, E)> = self
-            .heap
-            .iter()
-            .map(|e| (e.at, e.seq, e.event.clone()))
-            .collect();
-        entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        QueueSnapshot {
-            now: self.now,
-            seq: self.seq,
-            processed: self.processed,
-            last_pop: self.last_pop,
-            entries,
-        }
-    }
-
-    /// Rebuild a queue from a snapshot (see [`CalendarQueue::from_snapshot`]).
-    pub fn from_snapshot(snap: QueueSnapshot<E>) -> Self {
-        let mut q = Self::with_capacity(snap.entries.len());
-        q.now = snap.now;
-        q.seq = snap.seq;
-        q.processed = snap.processed;
-        q.last_pop = snap.last_pop;
-        for (at, seq, event) in snap.entries {
-            q.heap.push(Entry { at, seq, event });
-        }
-        q
-    }
-
-    /// Drop all pending events and reset the clock (for reuse in sweeps).
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-        self.now = Time::ZERO;
-        self.processed = 0;
-        self.last_pop = None;
-    }
+    let want = (total * num).div_ceil(den).max(1);
+    let mut seen = 0;
+    hist.iter().position(|&c| {
+        seen += c;
+        seen >= want
+    })
 }
 
 #[cfg(test)]
@@ -969,7 +706,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(30), "c");
         q.schedule(Time(10), "a");
         q.schedule(Time(20), "b");
@@ -982,7 +719,7 @@ mod tests {
 
     #[test]
     fn ties_pop_in_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         for i in 0..100 {
             q.schedule(Time(5), i);
         }
@@ -993,7 +730,7 @@ mod tests {
 
     #[test]
     fn clock_advances_with_pop() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         assert_eq!(q.now(), Time::ZERO);
         q.schedule(Time(100), ());
         q.pop();
@@ -1002,7 +739,7 @@ mod tests {
 
     #[test]
     fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(10), 0);
         q.pop();
         q.schedule_in(TimeDelta(5), 1);
@@ -1011,7 +748,7 @@ mod tests {
 
     #[test]
     fn pop_until_respects_limit() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(10), "a");
         q.schedule(Time(20), "b");
         assert_eq!(q.pop_until(Time(15)), Some((Time(10), "a")));
@@ -1021,86 +758,11 @@ mod tests {
         assert_eq!(q.now(), Time(10));
     }
 
-    // The pop-order ledger (`now`, `last_pop`, `processed`) is the
-    // spine of the determinism audit and of the sharded executor's
-    // replay: a `pop_batch_until` that touches any of it on the empty
-    // or past-limit path would silently corrupt both. These macros pin
-    // the contract for each implementation separately — the EventQueue
-    // alias only compiles one of them into the simulator.
-    macro_rules! empty_batch_pop_is_inert {
-        ($name:ident, $q:ty) => {
-            #[test]
-            fn $name() {
-                let mut q = <$q>::new();
-                let mut out: Vec<(u64, &str)> = vec![(99, "sentinel")];
-
-                // Brand-new queue: nothing due, nothing mutated.
-                assert_eq!(q.pop_batch_until(Time(1_000), &mut out), None);
-                assert_eq!(out, vec![(99, "sentinel")], "out buffer touched");
-                assert_eq!(q.now(), Time::ZERO);
-                assert_eq!(q.last_pop(), None);
-                assert_eq!(q.processed(), 0);
-
-                // Head past the limit: same story, and the pending
-                // event survives untouched.
-                q.schedule(Time(500), "later");
-                assert_eq!(q.pop_batch_until(Time(400), &mut out), None);
-                assert_eq!(out, vec![(99, "sentinel")]);
-                assert_eq!((q.now(), q.last_pop(), q.processed()), (Time::ZERO, None, 0));
-                assert_eq!(q.pending(), 1);
-
-                // Drain it for real, acknowledge the dispatch, then
-                // exhaust: the ledger must hold the *last real* pop,
-                // not a stale or cleared value.
-                out.clear();
-                assert_eq!(q.pop_batch_until(Time(500), &mut out), Some(Time(500)));
-                assert_eq!(out.len(), 1);
-                let (seq, _) = out[0];
-                q.note_dispatched(Time(500), seq);
-                for limit in [Time(500), Time(600), Time::MAX] {
-                    assert_eq!(q.pop_batch_until(limit, &mut out), None);
-                    assert_eq!(q.now(), Time(500), "empty batch-pop moved the clock");
-                    assert_eq!(
-                        q.last_pop(),
-                        Some((Time(500), seq)),
-                        "empty batch-pop disturbed the pop-order ledger"
-                    );
-                    assert_eq!(q.processed(), 1);
-                }
-            }
-        };
-    }
-    empty_batch_pop_is_inert!(empty_batch_pop_is_inert_calendar, CalendarQueue<&'static str>);
-    empty_batch_pop_is_inert!(empty_batch_pop_is_inert_heap, HeapQueue<&'static str>);
-
-    macro_rules! schedule_keyed_orders_by_key {
-        ($name:ident, $q:ty) => {
-            #[test]
-            fn $name() {
-                let mut q = <$q>::new();
-                // Interleave counter-assigned and explicit keys; pops
-                // must follow (time, seq), not insertion order.
-                q.schedule(Time(10), "seq0");
-                q.schedule_keyed(Time(10), 7, "seq7");
-                q.schedule_keyed(Time(10), 3, "seq3");
-                // The counter was bumped past the largest explicit key.
-                q.schedule(Time(10), "seq8");
-                assert_eq!(q.pop(), Some((Time(10), "seq0")));
-                assert_eq!(q.pop(), Some((Time(10), "seq3")));
-                assert_eq!(q.pop(), Some((Time(10), "seq7")));
-                assert_eq!(q.pop(), Some((Time(10), "seq8")));
-                assert_eq!(q.pop(), None);
-            }
-        };
-    }
-    schedule_keyed_orders_by_key!(schedule_keyed_orders_by_key_calendar, CalendarQueue<&'static str>);
-    schedule_keyed_orders_by_key!(schedule_keyed_orders_by_key_heap, HeapQueue<&'static str>);
-
     #[test]
     #[should_panic]
     #[cfg(debug_assertions)]
     fn scheduling_into_past_panics_in_debug() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(10), ());
         q.pop();
         q.schedule(Time(5), ());
@@ -1108,7 +770,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(10), 1);
         q.pop();
         q.schedule(Time(20), 2);
@@ -1116,11 +778,14 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.now(), Time::ZERO);
         assert_eq!(q.processed(), 0);
+        assert_eq!(q.stats(), QueueStats::default());
+        q.schedule(Time(7), 3);
+        assert_eq!(q.pop(), Some((Time(7), 3)));
     }
 
     #[test]
     fn interleaved_schedule_pop_stays_ordered() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(1), 1u32);
         q.schedule(Time(5), 5);
         assert_eq!(q.pop().unwrap().1, 1);
@@ -1132,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_overflow() {
+    fn far_future_events_cross_the_horizon() {
         // CCTI-timer pattern: ns-scale churn plus a timer ~150 µs out
         // (far beyond any initial wheel window).
         let mut q = CalendarQueue::new();
@@ -1140,6 +805,11 @@ mod tests {
         for i in 0..50u64 {
             q.schedule(Time(1_000 + i), "data");
         }
+        assert_eq!(
+            q.stats().spilled,
+            1,
+            "only the timer lies beyond the horizon"
+        );
         for _ in 0..50 {
             assert_eq!(q.pop().unwrap().1, "data");
         }
@@ -1157,19 +827,62 @@ mod tests {
         let mut q = CalendarQueue::new();
         let mut rng = crate::rng::Rng::new(42);
         for i in 0..20_000u64 {
-            q.schedule(Time(rng.next_below(1_000_000)), i);
+            q.schedule(Time(rng.next_below(1_000_000_000)), i);
         }
+        assert!(
+            q.stats().retunes > 0,
+            "a 1 ms spread overflows the default window"
+        );
         let mut last = (Time::ZERO, 0u64);
         let mut popped = 0;
-        while let Some((t, i)) = q.pop() {
-            let key = (t, i);
-            if popped > 0 {
-                assert!(t >= last.0, "time regressed at pop {popped}");
+        let mut out = Vec::new();
+        while let Some(t) = q.pop_batch_until(Time::MAX, &mut out) {
+            for &(seq, _) in &out {
+                assert!(
+                    (t, seq) > last || popped == 0,
+                    "order regressed at pop {popped}"
+                );
+                last = (t, seq);
+                popped += 1;
             }
-            last = key;
-            popped += 1;
+            out.clear();
         }
         assert_eq!(popped, 20_000);
+    }
+
+    #[test]
+    fn tie_piles_stay_bucketed() {
+        // Lockstep load: hundreds of events per timestamp never spill,
+        // and each batch walks little more than the batch itself.
+        let mut q = CalendarQueue::with_capacity(648 * 8);
+        for round in 0..50u64 {
+            for node in 0..648u64 {
+                q.schedule(Time(round * 10_000), node);
+            }
+        }
+        let mut out = Vec::new();
+        while q.pop_batch_until(Time::MAX, &mut out).is_some() {
+            assert_eq!(out.len(), 648);
+            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+            out.clear();
+        }
+        let s = q.stats();
+        assert_eq!(s.spilled, 0);
+        assert_eq!(s.scanned, 50 * 648);
+    }
+
+    #[test]
+    fn slab_stops_growing_at_the_high_water_mark() {
+        let mut q = CalendarQueue::new();
+        for i in 0..100u64 {
+            q.schedule(Time(i), i);
+        }
+        let cap = q.nodes.len();
+        for i in 100..10_000u64 {
+            q.pop();
+            q.schedule(Time(i), i);
+        }
+        assert_eq!(q.nodes.len(), cap);
     }
 
     #[test]
@@ -1186,102 +899,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_preserves_pop_stream() {
-        // Interleave schedules and pops, snapshot mid-stream, and check
-        // the restored queue's remaining pop stream is byte-identical —
-        // including tie order and the seq counter for future schedules.
-        let mut q = CalendarQueue::new();
-        let mut rng = crate::rng::Rng::new(99);
-        for i in 0..3_000u64 {
-            let delta = match rng.next_below(10) {
-                0 => 0,
-                1 => 300_000_000,
-                _ => rng.next_below(5_000),
-            };
-            q.schedule(Time(q.now().0 + delta), i);
-            if rng.next_below(10) < 4 {
-                q.pop();
-            }
-        }
-        let snap = q.snapshot();
-        assert_eq!(snap.entries.len(), q.pending());
-        let mut cal = CalendarQueue::from_snapshot(snap.clone());
-        let mut heap = HeapQueue::from_snapshot(snap);
-        assert_eq!(cal.now(), q.now());
-        assert_eq!(cal.processed(), q.processed());
-        assert_eq!(cal.last_pop(), q.last_pop());
-        // New schedules continue the same seq stream on all three.
-        q.schedule_in(TimeDelta(7), u64::MAX);
-        cal.schedule_in(TimeDelta(7), u64::MAX);
-        heap.schedule_in(TimeDelta(7), u64::MAX);
-        loop {
-            let (a, b, c) = (q.pop(), cal.pop(), heap.pop());
-            assert_eq!(a, b, "restored calendar queue diverged");
-            assert_eq!(a, c, "restored heap queue diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn snapshot_of_empty_queue_round_trips() {
-        let mut q = EventQueue::<u32>::new();
+        let mut q = CalendarQueue::<u32>::new();
         q.schedule(Time(5), 1);
         q.pop();
         let snap = q.snapshot();
         assert!(snap.entries.is_empty());
-        let mut r = EventQueue::from_snapshot(snap);
+        let mut r = CalendarQueue::from_snapshot(snap);
         assert!(r.is_empty());
         assert_eq!(r.now(), Time(5));
         assert_eq!(r.pop(), None);
     }
 
     #[test]
-    fn batch_pop_matches_single_pop_stream() {
-        // pop_batch_until + note_dispatched must reproduce the exact
-        // event stream, clock, processed count and last_pop key of the
-        // one-pop-per-event loop — on both implementations.
-        let mut single = CalendarQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut rng = crate::rng::Rng::new(13);
-        let mut t = 0u64;
-        for i in 0..4_000u64 {
-            // Heavy ties plus occasional far-future jumps.
-            t += match rng.next_below(10) {
-                0..=4 => 0,
-                5 => 150_000_000,
-                _ => rng.next_below(1_000),
-            };
-            single.schedule(Time(t), i);
-            cal.schedule(Time(t), i);
-            heap.schedule(Time(t), i);
-        }
-        let mut batch = Vec::new();
-        while let Some(bt) = cal.pop_batch_until(Time(u64::MAX), &mut batch) {
-            let mut hbatch = Vec::new();
-            let ht = heap.pop_batch_until(Time(u64::MAX), &mut hbatch);
-            assert_eq!(ht, Some(bt));
-            assert_eq!(batch, hbatch);
-            for &(seq, ev) in &batch {
-                assert_eq!(single.pop(), Some((bt, ev)));
-                cal.note_dispatched(bt, seq);
-                heap.note_dispatched(bt, seq);
-            }
-            assert_eq!(cal.now(), single.now());
-            assert_eq!(cal.last_pop(), single.last_pop());
-            assert_eq!(cal.processed(), single.processed());
-            assert_eq!(heap.processed(), single.processed());
-            batch.clear();
-        }
-        assert_eq!(single.pop(), None);
-        assert!(cal.is_empty() && heap.is_empty());
-    }
-
-    #[test]
     fn batch_pop_respects_limit_and_interleaves_with_schedules() {
-        let mut q = EventQueue::new();
+        let mut q = CalendarQueue::new();
         q.schedule(Time(10), 0u32);
         q.schedule(Time(10), 1);
         q.schedule(Time(20), 2);
@@ -1299,34 +931,5 @@ mod tests {
         q.schedule(Time(20), 3);
         assert_eq!(q.pop_batch_until(Time(25), &mut out), Some(Time(20)));
         assert_eq!(out, vec![(2, 2), (3, 3)]);
-    }
-
-    #[test]
-    fn calendar_matches_heap_reference_exactly() {
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut rng = crate::rng::Rng::new(7);
-        // Interleaved schedule/pop with ties and far-future jumps.
-        for round in 0..5_000u64 {
-            let delta = match rng.next_below(100) {
-                0..=4 => 0,                          // ties
-                5..=9 => 200_000_000,                // far future
-                _ => rng.next_below(2_000),          // churn
-            };
-            let at = Time(cal.now().0 + delta);
-            cal.schedule(at, round);
-            heap.schedule(at, round);
-            if rng.next_below(100) < 60 {
-                assert_eq!(cal.pop(), heap.pop(), "diverged at round {round}");
-            }
-            assert_eq!(cal.pending(), heap.pending());
-        }
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            assert_eq!(c, h);
-            if c.is_none() {
-                break;
-            }
-        }
     }
 }

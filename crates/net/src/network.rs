@@ -2,7 +2,7 @@
 
 use crate::audit::NetAudit;
 use crate::config::NetConfig;
-use crate::gen::TrafficClass;
+use crate::gen::{DestPattern, TrafficClass};
 use crate::hca::{Hca, NextSend};
 use crate::pool::{PacketPool, PktHandle};
 use crate::profile::{EngineProfiler, ProfileReport, Subsystem};
@@ -11,7 +11,7 @@ use crate::telemetry::{FabricView, FlightKind, NetTelemetry, TelemetryConfig};
 use crate::trace::{TraceCtx, TracePoint, Tracer};
 use crate::types::{NodeId, Packet, Vl};
 use ibsim_cc::{CcBackend, DcqcnCc, HcaCc, SourceCc};
-use ibsim_engine::queue::EventQueue;
+use ibsim_engine::queue::{CalendarQueue, QueueStats};
 use ibsim_faults::{AppliedEffect, FaultSchedule, FaultState, FaultStats, LinkSel};
 use ibsim_engine::rng::Rng;
 use ibsim_engine::time::{Time, TimeDelta};
@@ -85,7 +85,7 @@ pub enum Event {
 /// The fully-wired simulator for one network.
 pub struct Network {
     pub cfg: NetConfig,
-    pub(crate) queue: EventQueue<Event>,
+    pub(crate) queue: CalendarQueue<Event>,
     /// Arena of every packet currently alive in the fabric (queued in a
     /// VoQ or sink, or riding a scheduled event). Handle-indexed with
     /// free-list recycling: the steady-state event loop allocates
@@ -263,7 +263,7 @@ impl Network {
         let pending_hint = channels.len() + hcas.len() * 2;
         Network {
             cfg,
-            queue: EventQueue::with_capacity(pending_hint),
+            queue: CalendarQueue::with_capacity(pending_hint),
             pool: PacketPool::with_capacity(pending_hint),
             batch: Vec::with_capacity(64),
             batch_undispatched: 0,
@@ -288,9 +288,16 @@ impl Network {
     // ---- configuration before running ----------------------------------
 
     /// Install traffic classes on `node`, deriving each class's random
-    /// stream from the root seed.
+    /// stream from the root seed. Panics if a class's `Fixed`
+    /// destination is `node` itself: a node cannot send to itself.
     pub fn set_classes(&mut self, node: NodeId, classes: Vec<TrafficClass>) {
         assert!(!self.primed, "set_classes after prime");
+        assert!(
+            !classes
+                .iter()
+                .any(|c| matches!(c.dest, DestPattern::Fixed(d) if d == node)),
+            "set_classes: a class on node {node} targets node {node} itself"
+        );
         let seed = self.cfg.seed;
         let hca = &mut self.hcas[node as usize];
         hca.classes = classes;
@@ -373,6 +380,15 @@ impl Network {
     /// The telemetry state (sample table + flight recorder), if enabled.
     pub fn telemetry(&self) -> Option<&NetTelemetry> {
         self.telemetry.as_deref()
+    }
+
+    /// Work counters of this network's event queue (inserts, spills,
+    /// retunes, bucket entries scanned); deterministic for a given run.
+    /// They restart whenever the queue is rebuilt from a snapshot (a
+    /// checkpoint restore, the merge after sharded windows) and do not
+    /// include the shards' own queues.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Events currently scheduled on the calendar queue (plus, during a

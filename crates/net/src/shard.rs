@@ -114,7 +114,7 @@ use crate::state::EventState;
 use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
 use crate::trace::{TraceRecord, Tracer};
 use crate::NetAudit;
-use ibsim_engine::queue::EventQueue;
+use ibsim_engine::queue::CalendarQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
 use ibsim_faults::{FaultAction, FaultStats};
@@ -232,7 +232,7 @@ pub(crate) struct ShardRoute {
     /// Window-local events due *inside* the current window (provisional
     /// keys): these can pop before the barrier, so they need a real
     /// priority queue.
-    pub win: EventQueue<Event>,
+    pub win: CalendarQueue<Event>,
     /// Window-local events due *after* the current window end: they
     /// cannot pop before the barrier, so they skip the queue and wait
     /// here for relabelling — one Vec push instead of a calendar insert
@@ -257,7 +257,7 @@ impl ShardRoute {
         ShardRoute {
             my,
             owners,
-            win: EventQueue::with_capacity(256),
+            win: CalendarQueue::with_capacity(256),
             later: Vec::new(),
             held_min: Time::MAX,
             w_end: Time(0),
@@ -668,7 +668,7 @@ impl Network {
                 .into_iter()
                 .map(|(at, seq, es)| (at, seq, es.install(&mut sh.pool)))
                 .collect();
-            sh.queue = EventQueue::from_snapshot(QueueSnapshot {
+            sh.queue = CalendarQueue::from_snapshot(QueueSnapshot {
                 now: snap.now,
                 seq: 0,
                 processed: 0,
@@ -795,7 +795,7 @@ impl Network {
             .into_iter()
             .map(|(at, seq, es)| (at, seq, es.install(&mut self.pool)))
             .collect();
-        self.queue = EventQueue::from_snapshot(QueueSnapshot {
+        self.queue = CalendarQueue::from_snapshot(QueueSnapshot {
             now: flow.now,
             seq: flow.gseq,
             processed: flow.processed,
@@ -1405,7 +1405,7 @@ mod tests {
             let mut net = Network::new(&topo, NetConfig::paper().with_seed(0x1B51_C0DE));
             for node in 0..topo.num_hcas as u32 {
                 let dest = if node % 3 == 0 {
-                    DestPattern::Fixed(0)
+                    DestPattern::Fixed(1)
                 } else {
                     DestPattern::UniformExceptSelf
                 };

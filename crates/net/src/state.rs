@@ -35,7 +35,7 @@ use crate::pool::PacketPool;
 use crate::switch::SwitchState;
 use crate::telemetry::NetTelemetryState;
 use crate::types::{Packet, Vl};
-use ibsim_engine::queue::EventQueue;
+use ibsim_engine::queue::CalendarQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
 use ibsim_faults::FaultRuntimeState;
@@ -307,7 +307,7 @@ impl Network {
         if let (Some(t), Some(ts)) = (self.telemetry.as_deref_mut(), &s.telemetry) {
             t.restore_state(ts)?;
         }
-        self.queue = EventQueue::from_snapshot(QueueSnapshot {
+        self.queue = CalendarQueue::from_snapshot(QueueSnapshot {
             now: s.now,
             seq: s.queue_seq,
             processed: s.events_processed,

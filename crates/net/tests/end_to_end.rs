@@ -24,6 +24,16 @@ fn one_message_crosses_one_switch() {
     assert!(end < Time::from_us(100));
 }
 
+/// A `Fixed` destination equal to the sender is refused up front, in
+/// release builds too, instead of tripping deep inside the run.
+#[test]
+#[should_panic(expected = "a class on node 2 targets node 2 itself")]
+fn class_targeting_its_own_node_is_rejected() {
+    let topo = single_switch(4, 2);
+    let mut net = Network::new(&topo, NetConfig::paper());
+    net.set_classes(2, vec![msg_class(1, 1), msg_class(2, 1)]);
+}
+
 #[test]
 fn messages_cross_the_fat_tree() {
     let topo = FatTreeSpec::TEST_8.build();
