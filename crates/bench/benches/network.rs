@@ -116,8 +116,10 @@ fn network_benches(c: &mut Criterion) {
     // `fat8_obs_on` piles on per-flow tracing and the self-profiler —
     // the full diagnostic stack you turn on when chasing a bug, where
     // the two clock reads per event dominate.
-    for (name, trace, profile) in [("fat8_telemetry_on", false, false), ("fat8_obs_on", true, true)]
-    {
+    for (name, trace, profile) in [
+        ("fat8_telemetry_on", false, false),
+        ("fat8_obs_on", true, true),
+    ] {
         let events = run_uniform_observed(FatTreeSpec::TEST_8, 200, true, true, trace, profile);
         g.throughput(Throughput::Elements(events));
         g.bench_function(name, |b| {

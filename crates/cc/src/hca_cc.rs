@@ -94,11 +94,7 @@ impl HcaCc {
                 f.ccti = f.ccti.clamp(min, limit);
             }
         }
-        self.throttled = self
-            .flows
-            .iter()
-            .filter(|f| f.ccti > min)
-            .count();
+        self.throttled = self.flows.iter().filter(|f| f.ccti > min).count();
     }
 
     /// Map (destination, service level) to the throttling key per mode.
@@ -540,13 +536,21 @@ mod tests {
         let mut c = cc();
         assert_eq!(c.sum_ccti(), 0);
         assert_eq!(c.tracked_flows(), 0);
-        assert_eq!(c.ird_multiplier(), 0, "unthrottled flows wait 0 packet-times");
+        assert_eq!(
+            c.ird_multiplier(),
+            0,
+            "unthrottled flows wait 0 packet-times"
+        );
         c.on_becn(3);
         c.on_becn(3);
         c.on_becn(7);
         let inc = c.params().ccti_increase as u64;
         assert_eq!(c.sum_ccti(), 3 * inc, "two raises on flow 3, one on flow 7");
-        assert_eq!(c.tracked_flows(), 8, "dense table extends to the largest key");
+        assert_eq!(
+            c.tracked_flows(),
+            8,
+            "dense table extends to the largest key"
+        );
         assert_eq!(
             c.ird_multiplier(),
             c.params().cct.multiplier(c.max_ccti()),

@@ -372,7 +372,11 @@ mod tests {
     fn render_counts_sanctioned_entries() {
         let mut r = AuditReport::default();
         r.violate(LedgerKind::SanctionedDrop, "channel 1", 0, 2, "");
-        assert!(r.render().contains("1 violation(s) (1 sanctioned)"), "{}", r.render());
+        assert!(
+            r.render().contains("1 violation(s) (1 sanctioned)"),
+            "{}",
+            r.render()
+        );
     }
 
     #[test]

@@ -82,7 +82,10 @@ fn main() {
         .collect();
     println!(
         "{}",
-        ascii_table(&["t (us)", "victim rx (Gbit/s)", "max CCTI", "phase"], &rows)
+        ascii_table(
+            &["t (us)", "victim rx (Gbit/s)", "max CCTI", "phase"],
+            &rows
+        )
     );
 
     // ---- recovery metrics -------------------------------------------------

@@ -153,7 +153,10 @@ impl FaultSchedule {
 
     /// Parse and compile a `--faults` spec string in one step.
     pub fn from_spec(spec: &str, seed: u64) -> Result<FaultSchedule, String> {
-        Ok(FaultSchedule::compile(&crate::spec::parse_spec(spec)?, seed))
+        Ok(FaultSchedule::compile(
+            &crate::spec::parse_spec(spec)?,
+            seed,
+        ))
     }
 
     pub fn is_empty(&self) -> bool {
@@ -527,7 +530,10 @@ mod tests {
         assert_eq!(sched.faults().len(), 1);
         assert!(matches!(
             sched.faults()[0].action,
-            FaultAction::BecnLossOpen { until: Time::MAX, .. }
+            FaultAction::BecnLossOpen {
+                until: Time::MAX,
+                ..
+            }
         ));
     }
 
@@ -536,12 +542,24 @@ mod tests {
         let mut st = state("flap:link=ch:3,at=1ms,dur=2ms,factor=stall", 1);
         let base = TimeDelta::from_ns(100);
         // Before the window: untouched.
-        assert_eq!(st.credit_release(3, Time::from_us(500), base), Time::from_us(500));
+        assert_eq!(
+            st.credit_release(3, Time::from_us(500), base),
+            Time::from_us(500)
+        );
         // Inside: held to the end.
-        assert_eq!(st.credit_release(3, Time::from_ms(2), base), Time::from_ms(3));
+        assert_eq!(
+            st.credit_release(3, Time::from_ms(2), base),
+            Time::from_ms(3)
+        );
         // After: untouched. Other channels: untouched.
-        assert_eq!(st.credit_release(3, Time::from_ms(3), base), Time::from_ms(3));
-        assert_eq!(st.credit_release(4, Time::from_ms(2), base), Time::from_ms(2));
+        assert_eq!(
+            st.credit_release(3, Time::from_ms(3), base),
+            Time::from_ms(3)
+        );
+        assert_eq!(
+            st.credit_release(4, Time::from_ms(2), base),
+            Time::from_ms(2)
+        );
         assert_eq!(st.stats().credits_stalled, 1);
     }
 
@@ -630,8 +648,9 @@ mod tests {
             "pause:hca=2,at=1ms,dur=1ms;drift:hca=1,at=3ms,ccti_timer=20",
             0,
         );
-        let effects: Vec<AppliedEffect> =
-            (0..st.schedule().faults().len()).map(|i| st.apply(i)).collect();
+        let effects: Vec<AppliedEffect> = (0..st.schedule().faults().len())
+            .map(|i| st.apply(i))
+            .collect();
         assert_eq!(
             effects,
             vec![

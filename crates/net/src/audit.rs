@@ -283,9 +283,8 @@ impl NetAudit {
                 } as i64;
                 let pending = self.pending_credit_blocks[id * self.n_vls + vl];
                 let total = sender + wire + buffered + pending;
-                let detail = format!(
-                    "sender={sender} wire={wire} buffered={buffered} pending={pending}"
-                );
+                let detail =
+                    format!("sender={sender} wire={wire} buffered={buffered} pending={pending}");
                 if total != capacity {
                     r.violate(
                         LedgerKind::Credits,
@@ -434,7 +433,10 @@ impl NetAudit {
                     "event queue",
                     format!("pop key strictly after {:?}", self.last_seen_pop),
                     format!("{pop:?}"),
-                    format!("{} events since previous pass", processed - self.seen_processed),
+                    format!(
+                        "{} events since previous pass",
+                        processed - self.seen_processed
+                    ),
                 );
             }
         }
@@ -457,7 +459,11 @@ impl NetAudit {
     /// Overwrite the event-order watermarks (sharded-executor merge:
     /// the serial loop's last pass recorded the pop key and processed
     /// count *at the pass*, not at the end of the segment).
-    pub(crate) fn set_order_marks(&mut self, last_seen_pop: Option<(Time, u64)>, seen_processed: u64) {
+    pub(crate) fn set_order_marks(
+        &mut self,
+        last_seen_pop: Option<(Time, u64)>,
+        seen_processed: u64,
+    ) {
         self.last_seen_pop = last_seen_pop;
         self.seen_processed = seen_processed;
     }
@@ -576,10 +582,7 @@ mod tests {
         let topo = single_switch(8, 4);
         let mut net = Network::new(&topo, cfg);
         for n in 1..4u32 {
-            net.set_classes(
-                n,
-                vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)],
-            );
+            net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
         }
         net
     }

@@ -451,7 +451,10 @@ impl Hca {
             || s.last_seq.len() != self.last_seq.len()
             || s.rx_by_src.len() != self.rx_by_src.len()
         {
-            return Err(format!("hca {}: per-VL or per-peer table width mismatch", self.id));
+            return Err(format!(
+                "hca {}: per-VL or per-peer table width mismatch",
+                self.id
+            ));
         }
         self.busy_until = s.busy_until;
         self.next_inject_at = s.next_inject_at;

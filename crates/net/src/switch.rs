@@ -354,9 +354,7 @@ impl Switch {
 
     /// Total pause frames this switch has emitted (telemetry).
     pub fn pfc_pauses_total(&self) -> u64 {
-        self.pfc
-            .as_ref()
-            .map_or(0, |p| p.pauses_sent.iter().sum())
+        self.pfc.as_ref().map_or(0, |p| p.pauses_sent.iter().sum())
     }
 
     /// Fault-injection hook for oracle tests: silently discard the head
@@ -364,11 +362,7 @@ impl Switch {
     /// pool slot — the drop a buggy buffer manager could commit while
     /// the ingress is paused. Nothing ledgers it, so the
     /// `PauseLosslessness` check must flag it.
-    pub fn drop_queued_for_test(
-        &mut self,
-        in_port: u16,
-        pool: &mut PacketPool,
-    ) -> Option<Packet> {
+    pub fn drop_queued_for_test(&mut self, in_port: u16, pool: &mut PacketPool) -> Option<Packet> {
         let radix = self.ports.len();
         let nv = self.n_vls as usize;
         let inp = in_port as usize;
@@ -400,11 +394,7 @@ impl Switch {
         let has_credits = self.credits[ov] > 0;
         self.cong[ov].on_enqueue(bytes as u64, has_credits);
         let inp = in_port as usize;
-        self.voq[ov * self.ports.len() + inp].push_back(HDesc {
-            h,
-            bytes,
-            ready_at,
-        });
+        self.voq[ov * self.ports.len() + inp].push_back(HDesc { h, bytes, ready_at });
         self.waiting[ov * self.mask_words + (inp >> 6)] |= 1u64 << (inp & 63);
     }
 
@@ -465,21 +455,19 @@ impl Switch {
             let start = self.rr_in[ov];
             let credits = self.credits[ov];
             let qbase = ov * radix;
-            let mut consider = |inp: usize,
-                                voq: &[VecDeque<HDesc>],
-                                credit_blocked: &mut bool|
-             -> bool {
-                let head = voq[qbase + inp].front().expect("occupancy bit set");
-                if head.ready_at <= now {
-                    if credits >= blocks_for(head.bytes) {
-                        sizes[vl] = Some(head.bytes);
-                        cand_input[vl] = inp;
-                        return true;
+            let mut consider =
+                |inp: usize, voq: &[VecDeque<HDesc>], credit_blocked: &mut bool| -> bool {
+                    let head = voq[qbase + inp].front().expect("occupancy bit set");
+                    if head.ready_at <= now {
+                        if credits >= blocks_for(head.bytes) {
+                            sizes[vl] = Some(head.bytes);
+                            cand_input[vl] = inp;
+                            return true;
+                        }
+                        *credit_blocked = true;
                     }
-                    *credit_blocked = true;
-                }
-                false
-            };
+                    false
+                };
             if self.mask_words == 1 {
                 let mask = self.waiting[ov];
                 // Round-robin order: bits start.. then 0..start.
@@ -497,8 +485,7 @@ impl Switch {
                 let wbase = ov * self.mask_words;
                 let mut inp = start;
                 for _ in 0..radix {
-                    let occupied =
-                        self.waiting[wbase + (inp >> 6)] & (1u64 << (inp & 63)) != 0;
+                    let occupied = self.waiting[wbase + (inp >> 6)] & (1u64 << (inp & 63)) != 0;
                     if occupied && consider(inp, &self.voq, &mut credit_blocked) {
                         break;
                     }
@@ -653,7 +640,10 @@ impl Switch {
                         .iter()
                         .map(|&i| i as u32)
                         .collect(),
-                    cong: self.cong[p * nv..][..nv].iter().map(|c| c.state()).collect(),
+                    cong: self.cong[p * nv..][..nv]
+                        .iter()
+                        .map(|c| c.state())
+                        .collect(),
                     forwarded_packets: self.ports[p].forwarded_packets,
                     forwarded_bytes: self.ports[p].forwarded_bytes,
                     xmit_wait: self.ports[p].xmit_wait,
@@ -955,7 +945,13 @@ mod tests {
             .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
             .unwrap();
         let g2 = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         assert_eq!((g1.pkt.seq, g2.pkt.seq), (1, 2));
     }
@@ -971,7 +967,13 @@ mod tests {
         enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
         enq(&mut s, &mut pool, 2, 1, pkt(1, 2048), 0);
         let g = s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), Some(&params), &mut pool)
+            .arbitrate(
+                1,
+                Time(0),
+                |b| BW.tx_time(b as u64),
+                Some(&params),
+                &mut pool,
+            )
             .unwrap();
         assert!(g.pkt.fecn, "root port above threshold marks");
         assert!(pool.get(g.h).fecn, "pooled packet carries the mark too");
@@ -990,7 +992,13 @@ mod tests {
         enq(&mut s, &mut pool, 2, 1, pkt(1, 2048), 0);
         // After this grant the port has zero credits -> victim.
         let g = s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), Some(&params), &mut pool)
+            .arbitrate(
+                1,
+                Time(0),
+                |b| BW.tx_time(b as u64),
+                Some(&params),
+                &mut pool,
+            )
             .unwrap();
         // First grant happened while credits were available: marks.
         assert!(g.pkt.fecn);
@@ -1105,7 +1113,13 @@ mod tests {
             .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
             .unwrap();
         let g2 = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         let vls = [g1.pkt.vl, g2.pkt.vl];
         assert!(vls.contains(&0) && vls.contains(&1), "both VLs served");
@@ -1131,7 +1145,13 @@ mod tests {
         pool.release(g.h);
         assert!(!s.pfc_check_xon(g.in_port, 0), "32 > 10: stay paused");
         let g = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         pool.release(g.h);
         assert!(s.pfc_check_xon(g.in_port, 0));
@@ -1181,7 +1201,9 @@ mod tests {
         let plain_snap = sw().state(&PacketPool::new());
         let mut s3 = sw();
         s3.install_pfc(40, 10);
-        assert!(s3.restore_state(&plain_snap, &mut PacketPool::new()).is_err());
+        assert!(s3
+            .restore_state(&plain_snap, &mut PacketPool::new())
+            .is_err());
     }
 
     #[test]

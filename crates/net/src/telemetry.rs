@@ -129,8 +129,8 @@ impl NetTelemetry {
             n_ports += sw.radix();
         }
         let mut reg = Registry::new();
-        let hca_base = HCA_METRICS
-            .map(|(name, kind)| reg.block(n, kind, |i| format!("hca{i}.{name}")));
+        let hca_base =
+            HCA_METRICS.map(|(name, kind)| reg.block(n, kind, |i| format!("hca{i}.{name}")));
         let port_name = |flat: usize| {
             let s = port_start.partition_point(|&b| b <= flat) - 1;
             format!("sw{s}.p{}", flat - port_start[s])
@@ -259,8 +259,11 @@ impl NetTelemetry {
                 total_occ += occ;
                 self.reg.set_at(self.port_occ, base + p, occ as f64);
                 let xw = sw.ports[p].xmit_wait;
-                self.reg
-                    .set_at(self.port_stall, base + p, (xw - self.prev_stall[base + p]) as f64);
+                self.reg.set_at(
+                    self.port_stall,
+                    base + p,
+                    (xw - self.prev_stall[base + p]) as f64,
+                );
                 self.prev_stall[base + p] = xw;
             }
         }
@@ -284,7 +287,9 @@ impl NetTelemetry {
 
         if let Some(paused) = self.dcqcn_hca_paused {
             for (i, h) in net.hcas.iter().enumerate() {
-                let n = (0..h.credits.len()).filter(|&vl| h.cc.tx_paused(vl)).count();
+                let n = (0..h.credits.len())
+                    .filter(|&vl| h.cc.tx_paused(vl))
+                    .count();
                 self.reg.set_at(paused, i, n as f64);
             }
         }
@@ -384,7 +389,11 @@ impl NetTelemetry {
         {
             return Err("telemetry delta-baseline table width mismatch".into());
         }
-        if !s.cadence_next.as_ps().is_multiple_of(self.cadence.every().as_ps()) {
+        if !s
+            .cadence_next
+            .as_ps()
+            .is_multiple_of(self.cadence.every().as_ps())
+        {
             return Err(format!(
                 "telemetry cadence position {} ps is not a multiple of the {} ps period",
                 s.cadence_next.as_ps(),
@@ -483,4 +492,3 @@ pub struct FlightDump {
     pub occ_blocks_p50: Option<u64>,
     pub occ_blocks_p99: Option<u64>,
 }
-

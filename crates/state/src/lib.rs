@@ -365,7 +365,13 @@ fn render_short(v: &Value) -> String {
     }
 }
 
-fn diff_into(left: &Value, right: &Value, path: &mut String, limit: usize, out: &mut Vec<DiffEntry>) {
+fn diff_into(
+    left: &Value,
+    right: &Value,
+    path: &mut String,
+    limit: usize,
+    out: &mut Vec<DiffEntry>,
+) {
     if out.len() >= limit {
         return;
     }
@@ -646,7 +652,10 @@ mod tests {
     fn diff_reports_missing_keys_and_length_mismatch() {
         let a = Value::Object(vec![
             ("x".into(), Value::U64(1)),
-            ("arr".into(), Value::Array(vec![Value::U64(1), Value::U64(2)])),
+            (
+                "arr".into(),
+                Value::Array(vec![Value::U64(1), Value::U64(2)]),
+            ),
         ]);
         let b = Value::Object(vec![
             ("arr".into(), Value::Array(vec![Value::U64(1)])),

@@ -50,19 +50,35 @@ pub struct FlowRec {
 pub enum TraceError {
     Io(String),
     /// The first four bytes were not `IBTR`.
-    BadMagic { found: [u8; 4] },
+    BadMagic {
+        found: [u8; 4],
+    },
     /// A version this build does not speak.
-    BadVersion { found: u32, expected: u32 },
+    BadVersion {
+        found: u32,
+        expected: u32,
+    },
     /// The stream ended inside record `record` of `expected` — a
     /// truncated copy or a lying header.
-    Truncated { record: u64, expected: u64 },
+    Truncated {
+        record: u64,
+        expected: u64,
+    },
     /// More bytes follow the last declared record.
-    TrailingData { expected: u64 },
+    TrailingData {
+        expected: u64,
+    },
     /// A record that cannot be offered to a fabric: self-flow, node out
     /// of range, or an empty flow.
-    BadRecord { record: u64, reason: String },
+    BadRecord {
+        record: u64,
+        reason: String,
+    },
     /// A writer finished with the wrong record count.
-    CountMismatch { found: u64, expected: u64 },
+    CountMismatch {
+        found: u64,
+        expected: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -74,16 +90,18 @@ impl fmt::Display for TraceError {
                 "bad trace magic: found {found:?}, expected {MAGIC:?} (\"IBTR\")"
             ),
             TraceError::BadVersion { found, expected } => {
-                write!(f, "trace format version {found}, this build reads {expected}")
+                write!(
+                    f,
+                    "trace format version {found}, this build reads {expected}"
+                )
             }
             TraceError::Truncated { record, expected } => write!(
                 f,
                 "trace truncated inside record {record} of {expected} declared"
             ),
-            TraceError::TrailingData { expected } => write!(
-                f,
-                "trailing bytes after the {expected} declared records"
-            ),
+            TraceError::TrailingData { expected } => {
+                write!(f, "trailing bytes after the {expected} declared records")
+            }
             TraceError::BadRecord { record, reason } => {
                 write!(f, "trace record {record}: {reason}")
             }
@@ -190,12 +208,13 @@ impl<W: Write> TraceWriter<W> {
         };
         check(
             rec.t >= self.last_t,
-            format!("time goes backwards: {} < {}", rec.t.as_ps(), self.last_t.as_ps()),
+            format!(
+                "time goes backwards: {} < {}",
+                rec.t.as_ps(),
+                self.last_t.as_ps()
+            ),
         )?;
-        check(
-            rec.src != rec.dst,
-            format!("self-flow at node {}", rec.src),
-        )?;
+        check(rec.src != rec.dst, format!("self-flow at node {}", rec.src))?;
         check(
             rec.src < self.nodes && rec.dst < self.nodes,
             format!(
@@ -335,7 +354,10 @@ impl<R: Read> TraceReader<R> {
             return Err(bad(format!("flow size {bytes} out of range")));
         }
         let t = Time(self.last_t.as_ps().checked_add(dt).ok_or_else(|| {
-            bad(format!("time overflow: +{dt} ps past {}", self.last_t.as_ps()))
+            bad(format!(
+                "time overflow: +{dt} ps past {}",
+                self.last_t.as_ps()
+            ))
         })?);
         self.last_t = t;
         self.read += 1;
@@ -488,9 +510,24 @@ mod tests {
     #[test]
     fn encode_decode_identity() {
         let recs = vec![
-            FlowRec { t: Time(5), src: 0, dst: 1, bytes: 4096 },
-            FlowRec { t: Time(5), src: 3, dst: 2, bytes: 1 },
-            FlowRec { t: Time(1_000_000_007), src: 1, dst: 0, bytes: u32::MAX },
+            FlowRec {
+                t: Time(5),
+                src: 0,
+                dst: 1,
+                bytes: 4096,
+            },
+            FlowRec {
+                t: Time(5),
+                src: 3,
+                dst: 2,
+                bytes: 1,
+            },
+            FlowRec {
+                t: Time(1_000_000_007),
+                src: 1,
+                dst: 0,
+                bytes: u32::MAX,
+            },
         ];
         let buf = roundtrip(&recs, 4);
         let mut r = TraceReader::new(&buf[..]).unwrap();
@@ -519,7 +556,10 @@ mod tests {
         let mut buf = roundtrip(&[], 2);
         buf[4] = 99;
         match TraceReader::new(&buf[..]).err() {
-            Some(TraceError::BadVersion { found: 99, expected: 1 }) => {}
+            Some(TraceError::BadVersion {
+                found: 99,
+                expected: 1,
+            }) => {}
             other => panic!("expected BadVersion, got {other:?}"),
         }
     }
@@ -527,22 +567,40 @@ mod tests {
     #[test]
     fn truncation_names_the_record() {
         let recs = vec![
-            FlowRec { t: Time(5), src: 0, dst: 1, bytes: 4096 },
-            FlowRec { t: Time(9), src: 1, dst: 0, bytes: 4096 },
+            FlowRec {
+                t: Time(5),
+                src: 0,
+                dst: 1,
+                bytes: 4096,
+            },
+            FlowRec {
+                t: Time(9),
+                src: 1,
+                dst: 0,
+                bytes: 4096,
+            },
         ];
         let buf = roundtrip(&recs, 2);
         // Cut mid-way through the second record.
         let mut r = TraceReader::new(&buf[..buf.len() - 2]).unwrap();
         assert!(r.next_record().unwrap().is_some());
         match r.next_record() {
-            Err(TraceError::Truncated { record: 1, expected: 2 }) => {}
+            Err(TraceError::Truncated {
+                record: 1,
+                expected: 2,
+            }) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
     }
 
     #[test]
     fn trailing_data_rejected() {
-        let recs = vec![FlowRec { t: Time(5), src: 0, dst: 1, bytes: 64 }];
+        let recs = vec![FlowRec {
+            t: Time(5),
+            src: 0,
+            dst: 1,
+            bytes: 64,
+        }];
         let mut buf = roundtrip(&recs, 2);
         buf.push(0x00);
         let mut r = TraceReader::new(&buf[..]).unwrap();
@@ -555,7 +613,12 @@ mod tests {
 
     #[test]
     fn self_flow_rejected_on_both_sides() {
-        let rec = FlowRec { t: Time(1), src: 1, dst: 1, bytes: 64 };
+        let rec = FlowRec {
+            t: Time(1),
+            src: 1,
+            dst: 1,
+            bytes: 64,
+        };
         let mut buf = Vec::new();
         let mut w = TraceWriter::new(&mut buf, 4, 1).unwrap();
         match w.push(rec) {
@@ -571,7 +634,10 @@ mod tests {
         let mut buf = Vec::new();
         let w = TraceWriter::new(&mut buf, 4, 2).unwrap();
         match w.finish() {
-            Err(TraceError::CountMismatch { found: 0, expected: 2 }) => {}
+            Err(TraceError::CountMismatch {
+                found: 0,
+                expected: 2,
+            }) => {}
             other => panic!("expected CountMismatch, got {other:?}"),
         }
     }
@@ -610,7 +676,10 @@ mod tests {
             flows: 50,
             bytes: 512,
             mean_gap_ns: 10,
-            pattern: TracePattern::Hotspot { hotspots: 1, pct: 50 },
+            pattern: TracePattern::Hotspot {
+                hotspots: 1,
+                pct: 50,
+            },
             seed: 7,
         };
         let mut buf = Vec::new();

@@ -458,11 +458,7 @@ fn install_collective(
     }
 }
 
-fn install_trace(
-    spec: &WorkloadSpec,
-    net: &mut Network,
-    path: &str,
-) -> Result<Workload, String> {
+fn install_trace(spec: &WorkloadSpec, net: &mut Network, path: &str) -> Result<Workload, String> {
     let feeder = TraceFeeder::open(path).map_err(|e| format!("opening trace {path}: {e}"))?;
     let n = net.hcas.len() as u32;
     if feeder.nodes() > n {
@@ -648,8 +644,8 @@ mod tests {
 
     #[test]
     fn serde_value_roundtrip() {
-        let spec = WorkloadSpec::parse("collective:algo=ring,bytes=1024,rounds=1,slot_us=10")
-            .unwrap();
+        let spec =
+            WorkloadSpec::parse("collective:algo=ring,bytes=1024,rounds=1,slot_us=10").unwrap();
         let v = serde::Serialize::to_value(&spec);
         let back: WorkloadSpec = serde::Deserialize::from_value(&v).unwrap();
         assert_eq!(back, spec);

@@ -40,13 +40,15 @@ fn main() {
     let args = parse_args();
     let preset = match args.get("preset").map(String::as_str) {
         None => Preset::Quick,
-        Some(s) => {
-            Preset::parse(s).unwrap_or_else(|| panic!("unknown preset {s:?}; try quick|medium|paper"))
-        }
+        Some(s) => Preset::parse(s)
+            .unwrap_or_else(|| panic!("unknown preset {s:?}; try quick|medium|paper")),
     };
     let seed: u64 = args
         .get("seed")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--seed wants a number, got {v:?}")))
+        .map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--seed wants a number, got {v:?}"))
+        })
         .unwrap_or(0x1B51_C0DE);
     let resolution_us: u64 = args
         .get("resolution-us")
@@ -56,7 +58,10 @@ fn main() {
         })
         .unwrap_or(50);
     assert!(resolution_us > 0, "--resolution-us must be positive");
-    let perturb = args.get("perturb").map(String::as_str).unwrap_or("threshold=7");
+    let perturb = args
+        .get("perturb")
+        .map(String::as_str)
+        .unwrap_or("threshold=7");
     let (key, value) = perturb
         .split_once('=')
         .unwrap_or_else(|| panic!("--perturb wants KEY=VALUE, got {perturb:?}"));
@@ -66,7 +71,10 @@ fn main() {
 
     let topo = preset.topology();
     let cfg_a = preset.net_config().with_seed(seed);
-    assert!(cfg_a.cc.is_some(), "preset must have CC enabled to perturb it");
+    assert!(
+        cfg_a.cc.is_some(),
+        "preset must have CC enabled to perturb it"
+    );
     let mut cfg_b = cfg_a.clone();
     perturb_cc(cfg_b.cc.as_mut().unwrap(), key, value);
     if cfg_a.cc == cfg_b.cc {
@@ -115,7 +123,12 @@ fn main() {
                 println!("first diverging field: {f}");
             }
             let shown = d.diffs.len().min(20);
-            println!("state diff at t={:.1} us ({} of {} fields):", d.diverged_at.as_us_f64(), shown, d.diffs.len());
+            println!(
+                "state diff at t={:.1} us ({} of {} fields):",
+                d.diverged_at.as_us_f64(),
+                shown,
+                d.diffs.len()
+            );
             print!("{}", render_diff(&d.diffs[..shown]));
         }
     }

@@ -113,7 +113,12 @@ pub(crate) fn workload_label(
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
         .collect();
     let f = faults.map_or(String::new(), |f| format!("_f{}", f.faults().len()));
-    format!("wl-{}_w{}m{}{f}", s, dur.warmup.as_ps(), dur.measure.as_ps())
+    format!(
+        "wl-{}_w{}m{}{f}",
+        s,
+        dur.warmup.as_ps(),
+        dur.measure.as_ps()
+    )
 }
 
 /// Deterministic checkpoint file name for one run. The backend tag is
@@ -162,8 +167,8 @@ pub(crate) fn load_for(from: &Path, net: &Network, label: &str) -> Option<(Time,
     if !path.exists() {
         return None;
     }
-    let (header, state) = ibsim_state::load(&path)
-        .unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
+    let (header, state) =
+        ibsim_state::load(&path).unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
     header
         .validate_topo(&d)
         .unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));

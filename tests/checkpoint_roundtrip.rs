@@ -17,8 +17,8 @@
 use ibsim::prelude::*;
 use ibsim_net::{NetworkSnapshot, NetworkState};
 use ibsim_state::{
-    diff_values, CheckpointHeader, StateError, TopoDigest, FORMAT_VERSION,
-    FORMAT_VERSION_DCQCN, MAGIC,
+    diff_values, CheckpointHeader, StateError, TopoDigest, FORMAT_VERSION, FORMAT_VERSION_DCQCN,
+    MAGIC,
 };
 use ibsim_telemetry::TelemetryConfig;
 use proptest::prelude::*;
@@ -243,7 +243,10 @@ fn truncated_payload_is_rejected_not_panicking() {
         let err = ibsim_state::decode(&text[..cut]).expect_err("truncated text must not decode");
         let msg = err.to_string();
         assert!(
-            matches!(err, StateError::Truncated { .. } | StateError::Corrupt { .. }),
+            matches!(
+                err,
+                StateError::Truncated { .. } | StateError::Corrupt { .. }
+            ),
             "cut at {cut}: expected Truncated/Corrupt, got {msg}"
         );
         assert!(!msg.is_empty());
@@ -258,14 +261,20 @@ fn checkpoint_from_different_fabric_is_rejected_naming_the_field() {
     let mut other = Network::new(&topo, NetConfig::paper());
     let live = ibsim::checkpoint::digest(&other);
     match header.validate_topo(&live) {
-        Err(StateError::TopologyMismatch { field, found, expected }) => {
+        Err(StateError::TopologyMismatch {
+            field,
+            found,
+            expected,
+        }) => {
             assert_eq!(field, "switches");
             assert_ne!(found, expected);
         }
         other => panic!("expected TopologyMismatch, got {other:?}"),
     }
     // The state-level restore also refuses, naming the count mismatch.
-    let err = other.restore(&state).expect_err("cross-fabric restore must fail");
+    let err = other
+        .restore(&state)
+        .expect_err("cross-fabric restore must fail");
     assert!(err.contains("switches"), "unhelpful error: {err}");
 }
 
@@ -364,7 +373,9 @@ fn corrupt_telemetry_cadence_is_rejected() {
     let tel = state.telemetry.as_mut().expect("telemetry armed");
     tel.cadence_next = Time(tel.cadence_next.as_ps() + 1);
     let mut net = loaded_net(3, true, true);
-    let err = net.restore(&state).expect_err("off-cadence restore must fail");
+    let err = net
+        .restore(&state)
+        .expect_err("off-cadence restore must fail");
     assert!(err.contains("cadence"), "unhelpful error: {err}");
 }
 
@@ -515,7 +526,9 @@ fn assert_matches_golden(
     );
     // And the golden file still restores and runs on a live fabric.
     let decoded = NetworkState::from_value(&golden_state).expect("golden state decodes");
-    restore_into.restore(&decoded).expect("golden state restores");
+    restore_into
+        .restore(&decoded)
+        .expect("golden state restores");
     restore_into.run_until(Time::from_us(700));
 }
 
@@ -819,9 +832,7 @@ fn workload_roundtrip_mid_trace_stream() {
 
     let (mut resumed, mut feed_b) = mk();
     resumed.restore(&saved).expect("restore trace fabric");
-    let fed: u64 = (0..feed_b.nodes())
-        .map(|v| resumed.script_fed(v, 0))
-        .sum();
+    let fed: u64 = (0..feed_b.nodes()).map(|v| resumed.script_fed(v, 0)).sum();
     assert!(fed > 0, "250us into the stream, records must have been fed");
     feed_b.skip_fed(fed).expect("re-read to the resume cursor");
     // Re-enter at the boundary the capture segment started on; the

@@ -148,7 +148,11 @@ fn trace_replay_of_uniform_matches_native_uniform() {
     for v in 0..n {
         native.set_classes(
             v,
-            vec![TrafficClass::new(pct, DestPattern::UniformExceptSelf, bytes)],
+            vec![TrafficClass::new(
+                pct,
+                DestPattern::UniformExceptSelf,
+                bytes,
+            )],
         );
     }
     native.run_until(us(200));
