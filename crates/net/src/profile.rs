@@ -13,13 +13,13 @@
 //! around work that already happens and never touches simulation
 //! state, the event queue, or any RNG — a profile-on run is
 //! byte-identical to a profile-off run for every simulation output.
-//! When off it costs one `Option` branch per event.
+//! When off it costs one branch per event (see `observe.rs`).
 
 use serde::Serialize;
 
 /// The engine subsystems the profiler attributes time to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
-pub enum Subsystem {
+pub(crate) enum Subsystem {
     /// Calendar-queue batch extraction (`pop_batch_until`).
     QueuePop,
     /// Switch ingress: routing + VoQ enqueue (`SwArrive`).
@@ -46,10 +46,10 @@ pub enum Subsystem {
     Barrier,
 }
 
-pub const N_SUBSYSTEMS: usize = 11;
+const N_SUBSYSTEMS: usize = 11;
 
 impl Subsystem {
-    pub const ALL: [Subsystem; N_SUBSYSTEMS] = [
+    const ALL: [Subsystem; N_SUBSYSTEMS] = [
         Subsystem::QueuePop,
         Subsystem::Routing,
         Subsystem::Arbitration,
@@ -63,7 +63,7 @@ impl Subsystem {
         Subsystem::Barrier,
     ];
 
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Subsystem::QueuePop => "queue_pop",
             Subsystem::Routing => "routing",
@@ -80,50 +80,38 @@ impl Subsystem {
     }
 }
 
-/// Per-subsystem `{calls, ns}` accumulators. Cloneable so the sharded
-/// executor can hand each shard its own and sum them at the barrier.
-#[derive(Clone, Debug, Default)]
-pub struct EngineProfiler {
+/// Per-subsystem `{calls, ns}` accumulators. Each shard records into
+/// its own; the bins sum into the master's at the merge.
+#[derive(Debug, Default)]
+pub(crate) struct EngineProfiler {
     calls: [u64; N_SUBSYSTEMS],
     ns: [u64; N_SUBSYSTEMS],
 }
 
 impl EngineProfiler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     #[inline]
-    pub fn record(&mut self, s: Subsystem, ns: u64) {
+    pub(crate) fn record(&mut self, s: Subsystem, ns: u64) {
         let i = s as usize;
         self.calls[i] += 1;
         self.ns[i] += ns;
     }
 
     /// Fold another profiler's bins into this one (shard merge).
-    pub fn merge(&mut self, other: &EngineProfiler) {
+    pub(crate) fn merge(&mut self, other: &EngineProfiler) {
         for i in 0..N_SUBSYSTEMS {
             self.calls[i] += other.calls[i];
             self.ns[i] += other.ns[i];
         }
     }
 
-    pub fn calls(&self, s: Subsystem) -> u64 {
-        self.calls[s as usize]
-    }
-
-    pub fn ns(&self, s: Subsystem) -> u64 {
-        self.ns[s as usize]
-    }
-
-    pub fn total_ns(&self) -> u64 {
+    fn total_ns(&self) -> u64 {
         self.ns.iter().sum()
     }
 
     /// Build the serializable breakdown. `events` is the engine's
     /// processed-event count for the run, so the report can state an
     /// overall ns/event next to the per-subsystem shares.
-    pub fn report(&self, events: u64) -> ProfileReport {
+    pub(crate) fn report(&self, events: u64) -> ProfileReport {
         let total_ns = self.total_ns();
         let bins = Subsystem::ALL
             .iter()
@@ -187,21 +175,22 @@ mod tests {
 
     #[test]
     fn bins_accumulate_and_merge() {
-        let mut a = EngineProfiler::new();
+        let mut a = EngineProfiler::default();
         a.record(Subsystem::Routing, 100);
         a.record(Subsystem::Routing, 50);
         a.record(Subsystem::Arbitration, 25);
-        let mut b = EngineProfiler::new();
+        let mut b = EngineProfiler::default();
         b.record(Subsystem::Routing, 10);
         a.merge(&b);
-        assert_eq!(a.calls(Subsystem::Routing), 3);
-        assert_eq!(a.ns(Subsystem::Routing), 160);
+        let routing = Subsystem::Routing as usize;
+        assert_eq!(a.calls[routing], 3);
+        assert_eq!(a.ns[routing], 160);
         assert_eq!(a.total_ns(), 185);
     }
 
     #[test]
     fn report_shares_sum_to_one() {
-        let mut p = EngineProfiler::new();
+        let mut p = EngineProfiler::default();
         p.record(Subsystem::QueuePop, 300);
         p.record(Subsystem::Sink, 700);
         let r = p.report(10);
